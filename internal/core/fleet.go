@@ -3,11 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dvsim/internal/assert"
-	"dvsim/internal/battery"
-	"dvsim/internal/cpu"
-	"dvsim/internal/fault"
-	"dvsim/internal/metrics"
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
@@ -26,9 +21,10 @@ import (
 //
 // All of Options applies to chains; on the graph engine Ack, Rotation
 // and Native are rejected (those are ring protocols), while MaxFrames,
-// Instrument, Faults, Governor, OnGovern and Assertions behave
-// identically. The run is deterministic: graph construction order fixes
-// same-instant event ordering.
+// OnResult, Instrument, Faults, Governor, OnGovern and Assertions
+// behave identically (graph results carry no payload). The run is
+// deterministic: graph construction order fixes same-instant event
+// ordering.
 func RunTopology(label string, p Params, g *topology.Graph, opts Options) Outcome {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid topology: %v", err))
@@ -53,82 +49,24 @@ func RunTopology(label string, p Params, g *topology.Graph, opts Options) Outcom
 // it to completion: every source exhausted (bounded runs) or the fleet
 // dead/stalled (unbounded runs), mirroring buildPipeline's stop
 // conditions.
-func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
-	spec := opts.Assertions
-	if spec == nil {
-		spec = p.Assertions
-	}
-	// Specs reaching a run were validated at load time; a compile
-	// failure here is a programming error (assert.MustNew contract).
-	eng := assert.MustNew(spec)
-	instrument := opts.Instrument || eng != nil
-
-	k := sim.NewKernel()
-	var reg *metrics.Registry
-	if instrument {
-		reg = metrics.New(k)
-	}
-	net := serial.NewNetwork(k, p.Link)
-	net.SetMetrics(reg)
-
-	faults := opts.Faults
-	if faults == nil {
-		faults = p.Faults
-	}
-	var inj *fault.Injector
-	rp := p.Retry
-	if faults != nil {
-		inj = fault.MustInjector(*faults)
-		net.Fault = inj
-		if rpo := faults.Retry; rpo != nil {
-			rp = *rpo
-		}
-	}
-	gov := opts.Governor
-	if !gov.Enabled() {
-		gov = p.Governor
-	}
-
+func runFleet(label string, p Params, g *topology.Graph, o Options) Outcome {
+	opts := o.internal(p)
+	eng := checker(opts.assertions, p)
 	// Recording: the same recorder substrate as assertion-checked
-	// pipeline runs, fed by fleet-side hooks.
+	// pipeline runs, fed by the same hooks.
 	var rc *recorder
-	onGovern := opts.OnGovern
 	if eng != nil {
-		rc = newRecorder(true, estimateRecords(p, len(g.Nodes), float64(opts.MaxFrames)*p.FrameDelayS, true))
-		popts := pipelineOpts{onGovern: opts.OnGovern}
-		rc.hooks(&popts)
-		onGovern = popts.onGovern
-		net.OnTransfer = popts.onTransfer
-		net.OnRetry = func(ev serial.RetryEvent) {
-			rc.retry = append(rc.retry, LogRecord{
-				T: float64(ev.T), Event: "retry",
-				From: ev.From, To: ev.To,
-				Kind: ev.Kind.String(), Frame: ev.Frame,
-				Attempt: ev.Attempt, Value: ev.BackoffS,
-				Fault: ev.Cause.String(),
-			})
-		}
-		if inj != nil {
-			inj.OnFault = func(ev fault.Event) {
-				rc.fault = append(rc.fault, LogRecord{
-					T: float64(ev.T), Event: "fault", Fault: ev.Kind,
-					Node: ev.Node, From: ev.From, To: ev.To,
-					Kind: ev.MsgKind, Frame: ev.Frame,
-				})
-			}
-		}
+		opts.instrument = true
+		rc = newRecorder(true, estimateRecords(p, len(g.Nodes), float64(opts.maxFrames)*p.FrameDelayS, true))
+		rc.hooks(&opts)
 	}
+	st := newRunSetup(p, opts)
+	k, reg, net, gov := st.k, st.reg, st.net, st.gov
 
 	sink := net.Port("host-sink")
 	workers := make([]*node.Worker, len(g.Nodes))
 	for i, ns := range g.Nodes {
-		c := cpu.New(p.Power, ns.Comm)
-		bat := p.Battery()
-		battery.ScaleCapacity(bat, faults.CapacityScale(ns.Name))
-		pw := node.NewPower(k, c, bat)
-		if eng != nil {
-			pw.EnableTrace()
-		}
+		pw := st.power(p, ns.Name, ns.Comm, eng != nil)
 		budget := p.FrameDelayS
 		if ns.BudgetFactor > 0 {
 			budget = ns.BudgetFactor * p.FrameDelayS
@@ -138,7 +76,7 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 			D:        p.FrameDelayS,
 			BudgetS:  budget,
 			Source:   ns.Source(),
-			Rounds:   opts.MaxFrames,
+			Rounds:   opts.maxFrames,
 			Stride:   ns.Stride,
 			Phase:    ns.Phase,
 			RefS:     ns.RefS,
@@ -147,9 +85,9 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 			Comm:     ns.Comm,
 			Idle:     ns.Idle,
 			FanInAll: ns.FanInAll,
-			Retry:    rp,
+			Retry:    st.retry,
 			Governor: gov,
-			OnGovern: onGovern,
+			OnGovern: opts.onGovern,
 			Metrics:  reg,
 		})
 	}
@@ -164,24 +102,16 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 		}
 		workers[i].WireGraph(len(ns.Parents), children, sp)
 	}
-	if inj != nil {
-		targets := make(map[string]fault.CrashTarget, len(workers))
-		for _, w := range workers {
-			targets[w.Name] = w
-		}
-		inj.Arm(k, targets)
-	}
+	armCrashes(st.inj, k, workers)
 	if reg != nil {
-		for _, w := range workers {
-			registerSamplers(reg, w.Name, w.Power(), w.Port(), DefaultSamplePeriodS)
-		}
-		registerKernelSamplers(reg, k, DefaultSamplePeriodS)
+		registerSamplers(reg, k, workers, DefaultSamplePeriodS)
 	}
 
 	// The collector: the workstation's sink, counting results and
 	// timestamping the last one for the stall clock.
 	var results int
 	var lastResult sim.Time
+	onResult := opts.onResult
 	k.Spawn("host-sink", func(pr *sim.Proc) {
 		for {
 			msg, err := sink.Recv(pr)
@@ -190,6 +120,9 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 			}
 			results++
 			lastResult = k.Now()
+			if onResult != nil {
+				onResult(msg.Frame, msg.Payload)
+			}
 			if rc != nil {
 				t := float64(k.Now())
 				rc.result = append(rc.result, LogRecord{
@@ -212,16 +145,7 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 		}
 		finished = true
 		reg.StopSamplers()
-		for _, w := range workers {
-			if !w.Dead() {
-				ww := w
-				k.At(k.Now(), func() {
-					if pr := ww.Proc(); pr != nil && !pr.Done() {
-						pr.Interrupt("experiment ended")
-					}
-				})
-			}
-		}
+		interruptLive(k, workers)
 	}
 	stallWindow := sim.Time(50 * p.FrameDelayS)
 	var watch func()
@@ -264,90 +188,18 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 		BatteryLifeH: float64(results) * p.FrameDelayS / 3600,
 		WallH:        float64(lastResult) / 3600,
 		Events:       k.Fired(),
-		FaultStats:   inj.Stats(),
+		FaultStats:   st.inj.Stats(),
 		PortStats:    portStatsOf(net),
 		Metrics:      reg.Snapshot(),
 	}
 	for _, w := range workers {
-		out.NodeStats = append(out.NodeStats, workerStat(w))
+		out.NodeStats = append(out.NodeStats, statOf(&w.Base))
 	}
 	if eng != nil {
-		records := collectFleet(rc, workers, reg)
-		out.Violations = evalAssertions(eng, records)
+		out.check(eng, collect(rc, workers, reg))
 		rc.release()
-		out.AssertionsRun = eng.Evaluated()
-		out.ViolationTotal = eng.Total()
 	}
 	return out
-}
-
-// collectFleet finalizes a fleet run's record stream — mode traces,
-// deaths, sampler series, then the canonical ordered merge — the
-// worker-engine counterpart of recorder.collect.
-func collectFleet(rc *recorder, workers []*node.Worker, reg *metrics.Registry) []LogRecord {
-	for _, w := range workers {
-		lo := len(rc.scratch)
-		w.Power().Finish()
-		for _, span := range w.Power().Trace() {
-			rc.scratch = append(rc.scratch, LogRecord{
-				T:     float64(span.Start),
-				End:   float64(span.End),
-				Event: "mode",
-				Node:  w.Name,
-				Mode:  span.Mode.String(),
-				MHz:   span.Op.FreqMHz,
-			})
-		}
-		if w.DeadAt > 0 {
-			rc.scratch = append(rc.scratch, LogRecord{
-				T: float64(w.DeadAt), Event: "death", Node: w.Name,
-			})
-		}
-		rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
-	}
-	if reg != nil {
-		for _, s := range reg.Snapshot().Series {
-			lo := len(rc.scratch)
-			for _, pt := range s.Samples {
-				rc.scratch = append(rc.scratch, LogRecord{
-					T: float64(pt.T), Event: "sample",
-					Node: s.Node, Metric: s.Name, Value: pt.V,
-				})
-			}
-			rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
-		}
-	}
-	return rc.finalize()
-}
-
-// workerStat mirrors statOf for fleet workers; the ring-only fields
-// (rotations, migrations) stay zero.
-func workerStat(w *node.Worker) NodeStat {
-	pw := w.Power()
-	stat := NodeStat{
-		Name:            w.Name,
-		DiedAtH:         float64(w.DeadAt) / 3600,
-		FramesProcessed: w.FramesProcessed,
-		ResultsSent:     w.ResultsSent,
-		Crashes:         w.Crashes,
-		Restarts:        w.Restarts,
-		FramesAbandoned: w.FramesAbandoned,
-		GovDecisions:    w.GovernorDecisions,
-		GovSwitches:     w.GovernorSwitches,
-		DeadlineMisses:  w.DeadlineMisses,
-		DeliveredMAh:    pw.Battery().DeliveredMAh(),
-		FinalSoC:        pw.Battery().StateOfCharge(),
-		IdleS:           pw.ModeSeconds(cpu.Idle),
-		CommS:           pw.ModeSeconds(cpu.Comm),
-		ComputeS:        pw.ModeSeconds(cpu.Compute),
-		IdleMAh:         pw.ModeMAh(cpu.Idle),
-		CommMAh:         pw.ModeMAh(cpu.Comm),
-		ComputeMAh:      pw.ModeMAh(cpu.Compute),
-	}
-	if w.GovernorDecisions > 0 {
-		stat.GovMeanMHz = w.GovernorFreqSumMHz / float64(w.GovernorDecisions)
-	}
-	return stat
 }
 
 // RunExperiment is Run with a frame bound: experiment lines in manifest

@@ -57,6 +57,24 @@ func TestFleetTreeDelivers(t *testing.T) {
 	}
 }
 
+// TestFleetOnResult: the graph engine reports every result reaching the
+// host collector to Options.OnResult, as the pipeline engine does.
+func TestFleetOnResult(t *testing.T) {
+	var frames []int
+	out := RunTopology("tree/2x2", DefaultParams(), topology.Tree(2, 2, topology.Config{}), Options{
+		MaxFrames: 20,
+		OnResult:  func(frame int, _ any) { frames = append(frames, frame) },
+	})
+	if out.Frames != 20 || len(frames) != out.Frames {
+		t.Fatalf("OnResult saw %d results of %d delivered, want 20", len(frames), out.Frames)
+	}
+	for i, f := range frames {
+		if f != i {
+			t.Fatalf("result %d is frame %d", i, f)
+		}
+	}
+}
+
 // TestFleetWideRoundRobin: a wide pipeline splits frames across stage
 // replicas; every frame still arrives exactly once.
 func TestFleetWideRoundRobin(t *testing.T) {

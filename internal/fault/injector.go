@@ -159,7 +159,9 @@ func (in *Injector) linkFault(v serial.FaultVerdict, now sim.Time, from, to stri
 // CrashTarget is the node-side surface the injector drives. The methods
 // report whether they applied (a dead node cannot crash; a running node
 // cannot restart), so fault statistics count real state changes only.
-// *node.Node implements it.
+// Both node kinds implement it: Crash comes from the shared node.Base,
+// Restart from *node.Node and *node.Worker, which each reset their own
+// frame loop before respawning it.
 type CrashTarget interface {
 	Crash() bool
 	Restart() bool

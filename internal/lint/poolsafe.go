@@ -30,12 +30,12 @@ import (
 // Slab sources are seeded by contract-as-documentation: a function
 // whose doc comment contains the phrase "valid until release" declares
 // that its results alias pooled storage (internal/core's
-// recorder.collect is the archetype). From those seeds the analyzer
+// recorder.finalize is the archetype). From those seeds the analyzer
 // propagates interprocedurally: a function that returns a slab-backed
 // value — or the pool handle that releases it — becomes a source
 // itself, with facts recording which results and parameters belong to
 // the slab group, so the check follows the value through helpers like
-// core's collectRunLogWith without any annotation on them.
+// core's collect and collectRunLogWith without any annotation on them.
 //
 // Known limits, chosen to keep the check quiet: closures are analyzed
 // as separate functions (a slab value captured by a closure that runs
@@ -184,7 +184,7 @@ func mergeSorted(a, b []int) []int {
 
 // poolGroup is one slab lifetime: the values and handles that share a
 // pooled backing store and die together at its release. src is the
-// rendered source call ("rc.collect"); "" marks a synthetic group for a
+// rendered source call ("rc.finalize"); "" marks a synthetic group for a
 // released handle the analyzer had not been tracking.
 type poolGroup struct {
 	src string
@@ -704,8 +704,8 @@ func callReceiverIdent(call *ast.CallExpr) *ast.Ident {
 	return id
 }
 
-// calledName renders the called function for diagnostics: "rc.collect"
-// or "collectFleet".
+// calledName renders the called function for diagnostics: "rc.finalize"
+// or "collectRunLog".
 func calledName(info *types.Info, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

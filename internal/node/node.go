@@ -41,14 +41,6 @@ type Role struct {
 	OutKB float64
 }
 
-// IdlePoint returns the role's idle operating point (Comm when unset).
-func (r Role) IdlePoint() cpu.OperatingPoint {
-	if r.Idle == (cpu.OperatingPoint{}) {
-		return r.Comm
-	}
-	return r.Idle
-}
-
 // refSeconds is the role's per-frame reference compute time: the
 // explicit override when set, the profiled span otherwise.
 func (n *Node) refSeconds(r Role) float64 {
@@ -115,28 +107,12 @@ type Config struct {
 	OnGovern func(node string, ev governor.Event)
 }
 
-// phaseBuckets are the histogram bounds for per-frame phase latencies,
-// in seconds, spanning sub-transaction times up to several frame delays.
-var phaseBuckets = []float64{0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 10}
-
-// instruments are a node's labeled telemetry handles; with metrics
-// disabled every field is a nil no-op.
-type instruments struct {
-	recvS, procS, sendS                    *metrics.Histogram
-	frames, results, rotations, migrations *metrics.Counter
-	crashes, restarts, abandoned           *metrics.Counter
-	govDecisions, govSwitches, misses      *metrics.Counter
-}
-
-// Node is one Itsy computer in the pipeline.
+// Node is one Itsy computer in the pipeline: the shared Base plus the
+// ring's frame loop — roles, rotation, the ack/migration protocol and
+// the no-I/O mode.
 type Node struct {
-	Name string
-
-	k     *sim.Kernel
-	net   *serial.Network
-	port  *serial.Port
-	power *Power
-	cfg   Config
+	Base
+	cfg Config
 
 	roles   []Role // this node's copy of the pipeline roles
 	roleIdx int    // current role (0-based index into roles)
@@ -151,48 +127,23 @@ type Node struct {
 	// available" of §5.5), tagged with its frame number.
 	carry *carriedFrame
 
-	proc *sim.Proc
-	met  instruments
-
-	// Hoisted serial callbacks: method values allocate a closure per
-	// evaluation, so the frame loop's Recv/Send options reference these
-	// fields, bound once in New, instead of building them per frame.
+	// Hoisted serial callbacks, bound once in New (see Base).
 	acceptKindFn func(serial.Message) bool
-	commStartFn  func()
-	idleFn       func()
 	sendStartFn  func()
 	// sendQueued anchors sendStartFn's down-wait measurement for the
 	// frame's outbound transfer.
 	sendQueued sim.Time
 
-	// Online DVS governor state: gov is the policy instance (nil when
-	// ungoverned), govPoint the governed compute point overriding the
-	// role's static assignment (zero = none). sendWaitS records how long
-	// the current frame's outbound transfer waited for the downstream
-	// port — the rendezvous model's observable form of downstream queue
-	// occupancy.
-	gov         governor.Governor
-	govPoint    cpu.OperatingPoint
+	// sendWaitS records how long the current frame's outbound transfer
+	// waited for the downstream port — the rendezvous model's observable
+	// form of downstream queue occupancy, fed to the governor.
 	sendWaitS   float64
 	sendWaitSet bool
 
-	crashed bool // injected-crash outage in progress
-
-	// Stats.
-	FramesProcessed int // PROC executions completed
-	ResultsSent     int // final results delivered to the host
-	Rotations       int
-	Migrations      int
-	Crashes         int // injected crashes applied
-	Restarts        int // recoveries from injected crashes
-	FramesAbandoned int // frames given up after a spent retransmit budget
-	// Governor stats (all zero when ungoverned).
-	GovernorDecisions  int      // frame-boundary decisions taken
-	GovernorSwitches   int      // decisions that changed the operating point
-	DeadlineMisses     int      // frames whose busy time exceeded the budget D
-	GovernorFreqSumMHz float64  // sum of decided clocks, for mean-frequency reporting
-	DeadAt             sim.Time // battery exhaustion time; 0 if alive
-	peerDead           []bool   // detected failures, by physical index
+	// Stats beyond Base's.
+	Rotations  int
+	Migrations int
+	peerDead   []bool // detected failures, by physical index
 }
 
 type carriedFrame struct {
@@ -213,44 +164,13 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, roles []Role
 	name := fmt.Sprintf("node%d", phys+1)
 	own := make([]Role, len(roles))
 	copy(own, roles)
-	pw.SetMetrics(cfg.Metrics, name)
-	met := instruments{
-		recvS:      cfg.Metrics.Histogram("node_recv_s", name, phaseBuckets),
-		procS:      cfg.Metrics.Histogram("node_proc_s", name, phaseBuckets),
-		sendS:      cfg.Metrics.Histogram("node_send_s", name, phaseBuckets),
-		frames:     cfg.Metrics.Counter("node_frames_processed", name),
-		results:    cfg.Metrics.Counter("node_results_sent", name),
-		rotations:  cfg.Metrics.Counter("node_rotations", name),
-		migrations: cfg.Metrics.Counter("node_migrations", name),
-		crashes:    cfg.Metrics.Counter("node_crashes", name),
-		restarts:   cfg.Metrics.Counter("node_restarts", name),
-		abandoned:  cfg.Metrics.Counter("node_frames_abandoned", name),
-	}
-	if cfg.Governor.Enabled() {
-		met.govDecisions = cfg.Metrics.Counter("node_governor_decisions", name)
-		met.govSwitches = cfg.Metrics.Counter("node_governor_switches", name)
-		met.misses = cfg.Metrics.Counter("node_deadline_misses", name)
-	}
-	// A bad spec reaching here is a programming error: core validates
-	// governor configuration at load/flag-parse time.
-	gov := governor.MustNew(cfg.Governor)
-	n := &Node{
-		gov:   gov,
-		met:   met,
-		Name:  name,
-		k:     k,
-		net:   net,
-		port:  net.Port(name),
-		power: pw,
-		cfg:   cfg,
-		roles: own,
-		// Initially physical position i holds role i+1.
-		roleIdx: phys,
-		phys:    phys,
-	}
+	n := &Node{cfg: cfg, roles: own, phys: phys}
+	n.init(k, net.Port(name), pw, name, cfg.Metrics, cfg.Governor, cfg.OnGovern, n.run)
+	n.met.rotations = cfg.Metrics.Counter("node_rotations", name)
+	n.met.migrations = cfg.Metrics.Counter("node_migrations", name)
+	// Initially physical position i holds role i+1.
+	n.takeRole(phys)
 	n.acceptKindFn = n.acceptKind
-	n.commStartFn = n.commStart
-	n.idleFn = n.idle
 	n.sendStartFn = n.onSendStart
 	return n
 }
@@ -262,42 +182,23 @@ func (n *Node) Wire(ring []*Node, hostSink *serial.Port) {
 	n.peerDead = make([]bool, len(ring))
 }
 
-// Port returns the node's serial port.
-func (n *Node) Port() *serial.Port { return n.port }
-
-// Power returns the node's power meter.
-func (n *Node) Power() *Power { return n.power }
-
 // Role returns the node's current role.
 func (n *Node) Role() Role { return n.roles[n.roleIdx] }
 
-// Dead reports whether the node's battery is exhausted.
-func (n *Node) Dead() bool { return n.power.Dead() }
+// takeRole makes roles[idx] the node's current role and points the
+// shared base at its operating points.
+func (n *Node) takeRole(idx int) {
+	n.roleIdx = idx
+	r := n.roles[idx]
+	n.setPoints(r.Compute, r.Comm, r.Idle)
+}
 
-// Crashed reports whether an injected crash outage is in progress.
-func (n *Node) Crashed() bool { return n.crashed }
-
-// Available reports whether the node is running: neither dead nor in a
-// crash outage. Peers use it to distinguish a genuinely failed neighbor
-// from one that is merely slow (retransmitting).
-func (n *Node) Available() bool { return !n.Dead() && !n.crashed }
-
-// Crash applies an injected outage (fault.CrashTarget): the node's
-// process is interrupted, and its battery rests at zero draw until
-// Restart. It reports whether it applied — a dead or already-crashed
-// node cannot crash.
-func (n *Node) Crash() bool {
-	if n.crashed || n.Dead() {
-		return false
-	}
-	n.crashed = true
-	n.Crashes++
-	n.met.crashes.Inc()
-	n.power.Suspend()
-	if n.proc != nil && !n.proc.Done() {
-		n.proc.Interrupt("crash")
-	}
-	return true
+// rotate moves the node to the next role in the ring (§5.5).
+func (n *Node) rotate() {
+	n.takeRole((n.roleIdx + 1) % len(n.roles))
+	n.Rotations++
+	n.met.rotations.Inc()
+	n.governReset()
 }
 
 // Restart ends an injected outage (fault.CrashTarget): metering
@@ -305,33 +206,12 @@ func (n *Node) Crash() bool {
 // frame loop in the node's current role. It reports whether it applied —
 // only a crashed, non-dead node can restart.
 func (n *Node) Restart() bool {
-	if !n.crashed || n.Dead() {
+	if !n.resume() {
 		return false
 	}
-	n.crashed = false
-	n.Restarts++
-	n.met.restarts.Inc()
-	n.power.Resume()
 	n.carry = nil
-	n.governReset()
-	n.proc = n.k.Spawn(n.Name, n.run)
+	n.spawn()
 	return true
-}
-
-// Proc returns the node's simulation process (nil before Start).
-func (n *Node) Proc() *sim.Proc { return n.proc }
-
-// Start spawns the node's process. Battery death interrupts it at the
-// exact exhaustion instant.
-func (n *Node) Start() *sim.Proc {
-	n.power.OnDeath = func() {
-		n.DeadAt = n.k.Now()
-		if n.proc != nil && !n.proc.Done() {
-			n.proc.Interrupt("battery exhausted")
-		}
-	}
-	n.proc = n.k.Spawn(n.Name, n.run)
-	return n.proc
 }
 
 // upstreamPhys / downstreamPhys are the ring neighbors.
@@ -346,16 +226,8 @@ func (n *Node) run(p *sim.Proc) {
 		return
 	}
 	for {
-		// Frame-budget measurement anchors for the governor: busy time
-		// is metered as mode-clock deltas across the whole iteration
-		// (RECV+PROC+SEND, acks and retransmissions included), which the
-		// power meter keeps settled at every transition.
-		var proc0, comm0 float64
-		if n.gov != nil {
-			proc0 = n.power.ModeSeconds(cpu.Compute)
-			comm0 = n.power.ModeSeconds(cpu.Comm)
-			n.sendWaitS, n.sendWaitSet = 0, false
-		}
+		proc0, comm0 := n.modeClocks()
+		n.sendWaitS, n.sendWaitSet = 0, false
 		frame, payload, ok := n.obtainInput(p)
 		if !ok {
 			return
@@ -364,8 +236,7 @@ func (n *Node) run(p *sim.Proc) {
 		if !n.process(p, n.Role(), n.computePoint(), payload, &out) {
 			return
 		}
-		n.FramesProcessed++
-		n.met.frames.Inc()
+		n.processed()
 
 		// Rotation trigger (§5.5): the node holding role r rotates after
 		// processing frame f with (f + r) ≡ 0 (mod R). Since role r works
@@ -381,10 +252,7 @@ func (n *Node) run(p *sim.Proc) {
 			// computing on the data already in memory. The eliminated
 			// SEND/RECV pair pays for the reconfiguration.
 			n.carry = &carriedFrame{frame: frame, payload: out}
-			n.roleIdx = (n.roleIdx + 1) % len(n.roles)
-			n.Rotations++
-			n.met.rotations.Inc()
-			n.governReset()
+			n.rotate()
 			n.idle()
 			continue
 		}
@@ -395,92 +263,17 @@ func (n *Node) run(p *sim.Proc) {
 		}
 		n.met.sendS.Observe(float64(p.Now() - ts))
 		if n.Role().Index == len(n.roles) && !handled {
-			n.ResultsSent++
-			n.met.results.Inc()
+			n.delivered()
 		}
 		if rotating && last {
 			// The last node becomes the first (§5.5): next iteration it
 			// receives a fresh frame from the host.
-			n.roleIdx = (n.roleIdx + 1) % len(n.roles)
-			n.Rotations++
-			n.met.rotations.Inc()
-			n.governReset()
+			n.rotate()
 		} else {
-			n.govern(p, frame, proc0, comm0)
+			n.govern(p, frame, proc0, comm0, n.cfg.D, n.sendWaitS)
 		}
 		n.idle()
 	}
-}
-
-// computePoint is the operating point PROC runs at: the governed point
-// when a governor has decided one, the role's static assignment
-// otherwise.
-func (n *Node) computePoint() cpu.OperatingPoint {
-	if n.govPoint != (cpu.OperatingPoint{}) {
-		return n.govPoint
-	}
-	return n.Role().Compute
-}
-
-// deadlineMissEps absorbs float drift when comparing busy time against
-// the frame budget.
-const deadlineMissEps = 1e-9
-
-// govern runs the frame-boundary control loop: assemble the observation
-// from sim-clock measurements, ask the policy for the next compute
-// point, and account the decision. proc0/comm0 are the mode clocks at
-// the iteration's start.
-func (n *Node) govern(p *sim.Proc, frame int, proc0, comm0 float64) {
-	if n.gov == nil {
-		return
-	}
-	procS := n.power.ModeSeconds(cpu.Compute) - proc0
-	commS := n.power.ModeSeconds(cpu.Comm) - comm0
-	cur := n.computePoint()
-	obs := governor.Observation{
-		Frame:       frame,
-		NowS:        float64(p.Now()),
-		DeadlineS:   n.cfg.D,
-		ProcS:       procS,
-		CommS:       commS,
-		SlackS:      n.cfg.D - procS - commS,
-		RefS:        procS * cur.FreqMHz / cpu.MaxPoint.FreqMHz,
-		QueueIn:     n.port.Pending(),
-		DownWaitS:   n.sendWaitS,
-		SoC:         n.power.Battery().StateOfCharge(),
-		Point:       cur,
-		RoleCompute: n.Role().Compute,
-	}
-	if obs.SlackS < -deadlineMissEps {
-		n.DeadlineMisses++
-		n.met.misses.Inc()
-	}
-	next := n.gov.Decide(obs)
-	n.GovernorDecisions++
-	n.GovernorFreqSumMHz += next.FreqMHz
-	n.met.govDecisions.Inc()
-	if next != cur {
-		n.GovernorSwitches++
-		n.met.govSwitches.Inc()
-	}
-	n.govPoint = next
-	if n.cfg.OnGovern != nil {
-		n.cfg.OnGovern(n.Name, governor.Event{
-			Frame: frame, From: cur, To: next, Obs: obs, Terms: n.gov.Terms(),
-		})
-	}
-}
-
-// governReset clears the governor after a role change — rotation,
-// migration, crash restart — because measurements from the old span do
-// not transfer to the new one. The next frame runs at the new role's
-// static point until the controller re-primes.
-func (n *Node) governReset() {
-	if n.gov == nil {
-		return
-	}
-	n.gov.Reset()
-	n.govPoint = cpu.OperatingPoint{}
 }
 
 // sendStart arms and returns the TxOpts.OnStart callback for an
@@ -508,8 +301,7 @@ func (n *Node) runNoIO(p *sim.Proc) {
 		if !n.process(p, n.Role(), n.Role().Compute, nil, &sink) {
 			return
 		}
-		n.FramesProcessed++
-		n.met.frames.Inc()
+		n.processed()
 	}
 }
 
@@ -545,7 +337,7 @@ func (n *Node) obtainInput(p *sim.Proc) (frame int, payload any, ok bool) {
 					Kind: serial.KindAck, Frame: msg.Frame,
 				}, serial.TxOpts{OnStart: n.commStartFn, OnBackoff: n.idleFn}, n.cfg.Retry)
 				n.idle()
-				if err != nil && !serial.IsFault(err) && !errors.Is(err, serial.ErrRetriesExhausted) {
+				if err != nil && !lostOnWire(err) {
 					return 0, nil, false
 				}
 			}
@@ -596,17 +388,12 @@ func (n *Node) acceptKind(m serial.Message) bool {
 // native stage function to the payload when one is configured. ok is
 // false on interruption (death).
 func (n *Node) process(p *sim.Proc, role Role, at cpu.OperatingPoint, in any, out *any) bool {
-	t0 := p.Now()
-	n.power.Transition(cpu.Compute, at)
-	work := cpu.ScaledTime(n.refSeconds(role), at)
-	if err := p.Wait(sim.Duration(work)); err != nil {
+	if !n.compute(p, at, n.refSeconds(role)) {
 		return false
 	}
-	n.met.procS.Observe(float64(p.Now() - t0))
 	if n.cfg.Exec != nil {
 		*out = n.cfg.Exec(role.Span, in)
 	}
-	n.idle()
 	return true
 }
 
@@ -620,23 +407,20 @@ func (n *Node) process(p *sim.Proc, role Role, at cpu.OperatingPoint, in any, ou
 // spent retransmit budget.
 func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool) {
 	role := n.Role()
-	if role.Index == len(n.roles) {
-		err := n.port.SendReliable(p, n.hostSink, serial.Message{
-			Kind: serial.KindResult, Frame: frame, KB: n.outKB(role), Payload: payload,
-		}, serial.TxOpts{OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
-		n.idle()
-		if err != nil && (serial.IsFault(err) || errors.Is(err, serial.ErrRetriesExhausted)) {
-			return true, n.abandon()
-		}
-		return err == nil, false
-	}
-	dst := n.ring[n.downstreamPhys()]
 	msg := serial.Message{Kind: serial.KindInter, Frame: frame, KB: n.outKB(role), Payload: payload}
-	if !n.cfg.Ack {
-		err := n.port.SendReliable(p, dst.Port(), msg,
+	var dst *Node // ring successor; nil for the last role
+	to := n.hostSink
+	if role.Index == len(n.roles) {
+		msg.Kind = serial.KindResult
+	} else {
+		dst = n.ring[n.downstreamPhys()]
+		to = dst.Port()
+	}
+	if dst == nil || !n.cfg.Ack {
+		err := n.port.SendReliable(p, to, msg,
 			serial.TxOpts{OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
 		n.idle()
-		if err != nil && (serial.IsFault(err) || errors.Is(err, serial.ErrRetriesExhausted)) {
+		if lostOnWire(err) {
 			return true, n.abandon()
 		}
 		return err == nil, false
@@ -659,7 +443,7 @@ func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool
 	switch {
 	case err == nil:
 		return true, false
-	case serial.IsFault(err), errors.Is(err, serial.ErrRetriesExhausted):
+	case lostOnWire(err):
 		// The wire ate the frame past the retransmit budget; write it
 		// off and move on rather than stall the pipeline.
 		return true, n.abandon()
@@ -682,21 +466,12 @@ func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool
 		}
 		ok, _ = n.sendOutput(p, frame, out)
 		if ok {
-			n.ResultsSent++
-			n.met.results.Inc()
+			n.delivered()
 		}
 		return ok, true
 	default:
 		return false, false
 	}
-}
-
-// abandon writes off the in-flight frame and always reports true, so
-// callers can fold it into their handled result.
-func (n *Node) abandon() bool {
-	n.FramesAbandoned++
-	n.met.abandoned.Inc()
-	return true
 }
 
 // migrateFrom absorbs the span of the dead physical peer into this node's
@@ -747,20 +522,9 @@ func (n *Node) migrateFrom(p *sim.Proc, deadPhys int) (absorbed Role, ok bool) {
 		RefS:    mergedRefS,
 		OutKB:   lastRole.OutKB,
 	}}
-	n.roleIdx = 0
+	n.takeRole(0)
 	n.Migrations++
 	n.met.migrations.Inc()
 	n.governReset()
 	return deadRole, true
-}
-
-// commStart switches to communication mode at the role's comm point; the
-// serial layer invokes it at the instant a transfer actually begins.
-func (n *Node) commStart() {
-	n.power.Transition(cpu.Comm, n.Role().Comm)
-}
-
-// idle switches to idle mode at the role's idle point.
-func (n *Node) idle() {
-	n.power.Transition(cpu.Idle, n.Role().IdlePoint())
 }

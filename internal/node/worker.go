@@ -1,8 +1,6 @@
 package node
 
 import (
-	"errors"
-
 	"dvsim/internal/cpu"
 	"dvsim/internal/governor"
 	"dvsim/internal/metrics"
@@ -65,45 +63,19 @@ type WorkerConfig struct {
 // pipeline Node to arbitrary fan-in/fan-out. Data flows along the graph
 // edges set by WireGraph; the frame loop is receive (or self-pace),
 // compute, emit. Workers do not rotate or migrate — those are ring
-// protocols — but they crash, restart and die exactly like pipeline
-// nodes, and run the same per-round governor control loop.
+// protocols — but the shared Base makes them crash, restart, die and
+// govern exactly like pipeline nodes.
 type Worker struct {
-	Name string
-
-	k     *sim.Kernel
-	port  *serial.Port
-	power *Power
-	cfg   WorkerConfig
+	Base
+	cfg WorkerConfig
 
 	parents  int
 	children []*serial.Port
 	sink     *serial.Port
 
-	proc    *sim.Proc
-	crashed bool
 	// nextRound is a source's resume point: advanced as frames are
 	// emitted, fast-forwarded past the outage on restart.
 	nextRound int
-
-	gov      governor.Governor
-	govPoint cpu.OperatingPoint
-	met      instruments
-
-	acceptInterFn func(serial.Message) bool
-	commStartFn   func()
-	idleFn        func()
-
-	// Stats, mirroring the pipeline Node's vocabulary.
-	FramesProcessed    int
-	ResultsSent        int
-	Crashes            int
-	Restarts           int
-	FramesAbandoned    int
-	GovernorDecisions  int
-	GovernorSwitches   int
-	DeadlineMisses     int
-	GovernorFreqSumMHz float64
-	DeadAt             sim.Time
 }
 
 // NewWorker creates a fleet vertex. WireGraph must be called before
@@ -112,35 +84,12 @@ func NewWorker(k *sim.Kernel, net *serial.Network, pw *Power, cfg WorkerConfig) 
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
 	}
-	pw.SetMetrics(cfg.Metrics, cfg.Name)
-	met := instruments{
-		recvS:     cfg.Metrics.Histogram("node_recv_s", cfg.Name, phaseBuckets),
-		procS:     cfg.Metrics.Histogram("node_proc_s", cfg.Name, phaseBuckets),
-		sendS:     cfg.Metrics.Histogram("node_send_s", cfg.Name, phaseBuckets),
-		frames:    cfg.Metrics.Counter("node_frames_processed", cfg.Name),
-		results:   cfg.Metrics.Counter("node_results_sent", cfg.Name),
-		crashes:   cfg.Metrics.Counter("node_crashes", cfg.Name),
-		restarts:  cfg.Metrics.Counter("node_restarts", cfg.Name),
-		abandoned: cfg.Metrics.Counter("node_frames_abandoned", cfg.Name),
+	if cfg.BudgetS <= 0 {
+		cfg.BudgetS = cfg.D
 	}
-	if cfg.Governor.Enabled() {
-		met.govDecisions = cfg.Metrics.Counter("node_governor_decisions", cfg.Name)
-		met.govSwitches = cfg.Metrics.Counter("node_governor_switches", cfg.Name)
-		met.misses = cfg.Metrics.Counter("node_deadline_misses", cfg.Name)
-	}
-	w := &Worker{
-		Name:      cfg.Name,
-		k:         k,
-		port:      net.Port(cfg.Name),
-		power:     pw,
-		cfg:       cfg,
-		gov:       governor.MustNew(cfg.Governor),
-		met:       met,
-		nextRound: cfg.Phase,
-	}
-	w.acceptInterFn = acceptInter
-	w.commStartFn = w.commStart
-	w.idleFn = w.idle
+	w := &Worker{cfg: cfg, nextRound: cfg.Phase}
+	w.init(k, net.Port(cfg.Name), pw, cfg.Name, cfg.Metrics, cfg.Governor, cfg.OnGovern, w.run)
+	w.setPoints(cfg.Compute, cfg.Comm, cfg.Idle)
 	return w
 }
 
@@ -157,25 +106,6 @@ func (w *Worker) WireGraph(parents int, children []*serial.Port, sink *serial.Po
 	w.sink = sink
 }
 
-// Port returns the worker's serial port.
-func (w *Worker) Port() *serial.Port { return w.port }
-
-// Power returns the worker's power meter.
-func (w *Worker) Power() *Power { return w.power }
-
-// Proc returns the worker's simulation process (nil before Start).
-func (w *Worker) Proc() *sim.Proc { return w.proc }
-
-// Dead reports whether the worker's battery is exhausted.
-func (w *Worker) Dead() bool { return w.power.Dead() }
-
-// Crashed reports whether an injected crash outage is in progress.
-func (w *Worker) Crashed() bool { return w.crashed }
-
-// Available reports whether the worker is running: neither dead nor in
-// a crash outage.
-func (w *Worker) Available() bool { return !w.Dead() && !w.crashed }
-
 // Source reports whether the worker originates frames.
 func (w *Worker) Source() bool { return w.cfg.Source }
 
@@ -185,80 +115,43 @@ func (w *Worker) Exhausted() bool {
 	return w.cfg.Source && w.cfg.Rounds > 0 && w.nextRound >= w.cfg.Rounds
 }
 
-// Crash applies an injected outage (fault.CrashTarget).
-func (w *Worker) Crash() bool {
-	if w.crashed || w.Dead() {
-		return false
-	}
-	w.crashed = true
-	w.Crashes++
-	w.met.crashes.Inc()
-	w.power.Suspend()
-	if w.proc != nil && !w.proc.Done() {
-		w.proc.Interrupt("crash")
-	}
-	return true
-}
-
 // Restart ends an injected outage (fault.CrashTarget). A source resumes
 // at the first frame time after the outage instead of bursting through
 // the frames it slept over.
 func (w *Worker) Restart() bool {
-	if !w.crashed || w.Dead() {
+	if !w.resume() {
 		return false
 	}
-	w.crashed = false
-	w.Restarts++
-	w.met.restarts.Inc()
-	w.power.Resume()
-	w.governReset()
 	if w.cfg.Source {
 		for w.nextRound >= w.cfg.Phase &&
 			float64(w.nextRound)*w.cfg.D < float64(w.k.Now()) {
 			w.nextRound += w.cfg.Stride
 		}
 	}
-	w.proc = w.k.Spawn(w.Name, w.run)
+	w.spawn()
 	return true
-}
-
-// Start spawns the worker's process; battery death interrupts it at the
-// exact exhaustion instant.
-func (w *Worker) Start() *sim.Proc {
-	w.power.OnDeath = func() {
-		w.DeadAt = w.k.Now()
-		if w.proc != nil && !w.proc.Done() {
-			w.proc.Interrupt("battery exhausted")
-		}
-	}
-	w.proc = w.k.Spawn(w.Name, w.run)
-	return w.proc
 }
 
 // run is the worker's round loop.
 func (w *Worker) run(p *sim.Proc) {
 	defer w.power.Finish()
 	for {
-		var proc0, comm0 float64
-		if w.gov != nil {
-			proc0 = w.power.ModeSeconds(cpu.Compute)
-			comm0 = w.power.ModeSeconds(cpu.Comm)
-		}
+		proc0, comm0 := w.modeClocks()
 		frame, ok := w.obtainRound(p)
 		if !ok {
 			return
 		}
-		if !w.work(p) {
+		if !w.compute(p, w.computePoint(), w.cfg.RefS) {
 			return
 		}
-		w.FramesProcessed++
-		w.met.frames.Inc()
+		w.processed()
 		ts := p.Now()
 		if !w.emit(p, frame) {
 			return
 		}
 		w.met.sendS.Observe(float64(p.Now() - ts))
-		w.govern(p, frame, proc0, comm0)
+		// Workers observe no downstream wait: the governor sees 0.
+		w.govern(p, frame, proc0, comm0, w.cfg.BudgetS, 0)
 		w.idle()
 	}
 }
@@ -289,7 +182,7 @@ func (w *Worker) obtainRound(p *sim.Proc) (frame int, ok bool) {
 		w.idle()
 		msg, err := w.port.RecvOpts(p, serial.RxOpts{
 			Deadline: sim.Infinity,
-			Match:    w.acceptInterFn,
+			Match:    acceptInter,
 			OnStart:  w.commStartFn,
 			OnAbort:  w.idleFn, // faulted transfer discarded; back to waiting
 		})
@@ -303,19 +196,6 @@ func (w *Worker) obtainRound(p *sim.Proc) (frame int, ok bool) {
 	}
 	w.met.recvS.Observe(float64(p.Now() - t0))
 	return frame, true
-}
-
-// work runs the round's computation at the governed (or static) point.
-func (w *Worker) work(p *sim.Proc) bool {
-	t0 := p.Now()
-	at := w.computePoint()
-	w.power.Transition(cpu.Compute, at)
-	if err := p.Wait(sim.Duration(cpu.ScaledTime(w.cfg.RefS, at))); err != nil {
-		return false
-	}
-	w.met.procS.Observe(float64(p.Now() - t0))
-	w.idle()
-	return true
 }
 
 // emit ships the round's product along the graph: a result to the host
@@ -334,100 +214,14 @@ func (w *Worker) emit(p *sim.Proc, frame int) bool {
 		Kind: kind, Frame: frame, KB: w.cfg.OutKB,
 	}, serial.TxOpts{OnStart: w.commStartFn, OnBackoff: w.idleFn}, w.cfg.Retry)
 	w.idle()
+	if lostOnWire(err) {
+		return w.abandon()
+	}
 	if err != nil {
-		if serial.IsFault(err) || errors.Is(err, serial.ErrRetriesExhausted) {
-			w.FramesAbandoned++
-			w.met.abandoned.Inc()
-			return true
-		}
 		return false
 	}
 	if kind == serial.KindResult {
-		w.ResultsSent++
-		w.met.results.Inc()
+		w.delivered()
 	}
 	return true
-}
-
-// computePoint is the operating point the round's work runs at.
-func (w *Worker) computePoint() cpu.OperatingPoint {
-	if w.govPoint != (cpu.OperatingPoint{}) {
-		return w.govPoint
-	}
-	return w.cfg.Compute
-}
-
-// govern runs the round-boundary control loop, mirroring the pipeline
-// node's: busy time metered as mode-clock deltas across the iteration,
-// budgeted against BudgetS (D by default).
-func (w *Worker) govern(p *sim.Proc, frame int, proc0, comm0 float64) {
-	if w.gov == nil {
-		return
-	}
-	procS := w.power.ModeSeconds(cpu.Compute) - proc0
-	commS := w.power.ModeSeconds(cpu.Comm) - comm0
-	cur := w.computePoint()
-	budget := w.cfg.BudgetS
-	if budget <= 0 {
-		budget = w.cfg.D
-	}
-	obs := governor.Observation{
-		Frame:       frame,
-		NowS:        float64(p.Now()),
-		DeadlineS:   budget,
-		ProcS:       procS,
-		CommS:       commS,
-		SlackS:      budget - procS - commS,
-		RefS:        procS * cur.FreqMHz / cpu.MaxPoint.FreqMHz,
-		QueueIn:     w.port.Pending(),
-		SoC:         w.power.Battery().StateOfCharge(),
-		Point:       cur,
-		RoleCompute: w.cfg.Compute,
-	}
-	if obs.SlackS < -deadlineMissEps {
-		w.DeadlineMisses++
-		w.met.misses.Inc()
-	}
-	next := w.gov.Decide(obs)
-	w.GovernorDecisions++
-	w.GovernorFreqSumMHz += next.FreqMHz
-	w.met.govDecisions.Inc()
-	if next != cur {
-		w.GovernorSwitches++
-		w.met.govSwitches.Inc()
-	}
-	w.govPoint = next
-	if w.cfg.OnGovern != nil {
-		w.cfg.OnGovern(w.Name, governor.Event{
-			Frame: frame, From: cur, To: next, Obs: obs, Terms: w.gov.Terms(),
-		})
-	}
-}
-
-// governReset clears the governor after a crash restart.
-func (w *Worker) governReset() {
-	if w.gov == nil {
-		return
-	}
-	w.gov.Reset()
-	w.govPoint = cpu.OperatingPoint{}
-}
-
-// idlePoint is the worker's idle operating point (Comm when unset).
-func (w *Worker) idlePoint() cpu.OperatingPoint {
-	if w.cfg.Idle == (cpu.OperatingPoint{}) {
-		return w.cfg.Comm
-	}
-	return w.cfg.Idle
-}
-
-// commStart switches to communication mode; the serial layer invokes it
-// at the instant a transfer actually begins.
-func (w *Worker) commStart() {
-	w.power.Transition(cpu.Comm, w.cfg.Comm)
-}
-
-// idle switches to idle mode.
-func (w *Worker) idle() {
-	w.power.Transition(cpu.Idle, w.idlePoint())
 }
