@@ -233,3 +233,26 @@ func TestExp2DSmoke(t *testing.T) {
 		t.Fatal("no retransmissions recorded in 2D")
 	}
 }
+
+// TestRecorderHooksChain checks that the recorder's fault and retry
+// observers run after any the options already carried, as its govern and
+// transfer observers do, instead of replacing them.
+func TestRecorderHooksChain(t *testing.T) {
+	var faults, retries int
+	opts := pipelineOpts{
+		faults:  &fault.Scenario{},
+		onFault: func(fault.Event) { faults++ },
+		onRetry: func(serial.RetryEvent) { retries++ },
+	}
+	rc := newRecorder(true, 0)
+	defer rc.release()
+	rc.hooks(&opts)
+	opts.onFault(fault.Event{Kind: "drop"})
+	opts.onRetry(serial.RetryEvent{})
+	if faults != 1 || retries != 1 {
+		t.Fatalf("caller hooks ran %d/%d times, want 1/1", faults, retries)
+	}
+	if len(rc.fault) != 1 || len(rc.retry) != 1 {
+		t.Fatalf("recorder kept %d fault / %d retry records, want 1/1", len(rc.fault), len(rc.retry))
+	}
+}
