@@ -678,10 +678,10 @@ func (r *Rig) Finish() {
 	interruptLive(r.K, r.Nodes)
 }
 
-// Release tears the rig down and returns its recyclable simulation
-// state — parked processes, rendezvous offers, frame-job carriers — to
-// the process-wide pools, so the next run warm-starts instead of
-// re-allocating its working set. Call it exactly once, after every
+// Release tears the rig down: its process coroutines exit, and its
+// recyclable simulation state — rendezvous offers, frame-job carriers —
+// returns to the process-wide pools, so the next run warm-starts instead
+// of re-allocating its working set. Call it exactly once, after every
 // outcome, record or trace has been extracted; the rig is unusable
 // afterwards. Long-lived callers that run many experiments in one
 // process (sweeps, the service layer, Monte Carlo forks) depend on this

@@ -645,7 +645,7 @@ func collectRunLogWith(ctx context.Context, id ID, p Params, until float64, tele
 	}
 	records := collect(rc, rig.Nodes, rig.Metrics)
 	// Release the rig: a long-running host (the simulation server) would
-	// otherwise strand a pipeline's worth of parked goroutines — and
+	// otherwise strand a pipeline's worth of parked processes — and
 	// re-allocate every offer and frame job — on every bounded run.
 	rig.Release()
 

@@ -91,6 +91,7 @@ type Message struct {
 type offer struct {
 	msg       Message
 	withdrawn bool
+	queued    bool         // still in the receiving port's pending queue
 	fault     FaultVerdict // set when the transfer was dropped or garbled
 	accepted  sim.Chan[struct{}]
 	done      sim.Chan[struct{}]
@@ -126,6 +127,7 @@ type Port struct {
 	net     *Network
 	name    string
 	pending []*offer
+	live    int // offers in pending that are not withdrawn
 	arrival *sim.Chan[struct{}]
 	stats   PortStats
 	inst    *portInstruments
@@ -172,15 +174,7 @@ func (pt *Port) met() *portInstruments {
 }
 
 // Pending returns the number of senders waiting at this port.
-func (pt *Port) Pending() int {
-	n := 0
-	for _, of := range pt.pending {
-		if !of.withdrawn {
-			n++
-		}
-	}
-	return n
-}
+func (pt *Port) Pending() int { return pt.live }
 
 // TxOpts modifies a send.
 type TxOpts struct {
@@ -268,6 +262,7 @@ func (n *Network) getOffer(msg Message) *offer {
 	}
 	of.msg = msg
 	of.withdrawn = false
+	of.queued = false
 	of.fault = FaultNone
 	of.accepted.Init(n.k, "accepted")
 	of.done.Init(n.k, "done")
@@ -295,6 +290,7 @@ func (n *Network) Release() {
 			pt.pending[i] = nil
 		}
 		pt.pending = nil
+		pt.live = 0
 	}
 	for i, of := range n.freeOffers {
 		offerPool.Put(of)
@@ -366,15 +362,11 @@ func (pt *Port) SendOpts(p *sim.Proc, dst *Port, msg Message, opts TxOpts) error
 	}
 	msg.From = pt.name
 	of := pt.net.getOffer(msg)
-	dst.pending = append(dst.pending, of)
-	if q := dst.Pending(); q > dst.stats.MaxPending {
-		dst.stats.MaxPending = q
-	}
-	dst.met().pendingDepth.Set(float64(dst.Pending()))
+	dst.enqueue(of)
 	dst.arrival.Send(struct{}{})
 	if _, err := of.accepted.RecvDeadline(p, deadline); err != nil {
 		// Withdraw: a late accept must be ignored.
-		of.withdrawn = true
+		dst.withdraw(of)
 		of.done.Close()
 		if errors.Is(err, sim.ErrTimeout) {
 			pt.stats.TxTimeouts++
@@ -450,7 +442,7 @@ func (pt *Port) accountRxFault(v FaultVerdict) {
 		pt.stats.RxDropped++
 		m.rxDropped.Inc()
 	}
-	m.pendingDepth.Set(float64(pt.Pending()))
+	m.pendingDepth.Set(float64(pt.live))
 }
 
 // accountTx credits a completed send to the sending port.
@@ -474,7 +466,7 @@ func (pt *Port) accountRx(msg Message) {
 	m := pt.met()
 	m.rxTransfers.Inc()
 	m.rxKB.Add(msg.KB)
-	m.pendingDepth.Set(float64(pt.Pending()))
+	m.pendingDepth.Set(float64(pt.live))
 }
 
 // Recv accepts the next transaction at this port and blocks until the
@@ -572,6 +564,29 @@ func (pt *Port) RecvOpts(p *sim.Proc, opts RxOpts) (Message, error) {
 	}
 }
 
+// enqueue appends a fresh offer to the pending queue, keeping the live
+// count and its high-water mark in step.
+func (pt *Port) enqueue(of *offer) {
+	of.queued = true
+	pt.pending = append(pt.pending, of)
+	pt.live++
+	if pt.live > pt.stats.MaxPending {
+		pt.stats.MaxPending = pt.live
+	}
+	pt.met().pendingDepth.Set(float64(pt.live))
+}
+
+// withdraw marks a sender's offer abandoned. An offer still queued
+// stops counting as pending at once, and take drops it from the queue
+// later. An offer a receiver took in the same instant was already
+// uncounted by take.
+func (pt *Port) withdraw(of *offer) {
+	of.withdrawn = true
+	if of.queued {
+		pt.live--
+	}
+}
+
 // take removes and returns the first live, matching pending offer, also
 // dropping withdrawn entries it walks over.
 func (pt *Port) take(match func(Message) bool) *offer {
@@ -585,6 +600,8 @@ func (pt *Port) take(match func(Message) bool) *offer {
 		}
 		if match == nil || match(of.msg) {
 			pt.pending = append(pt.pending[:i], pt.pending[i+1:]...)
+			of.queued = false
+			pt.live--
 			return of
 		}
 	}

@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
 )
 
 // Errors returned from blocking process operations.
@@ -24,62 +24,8 @@ type killed struct{ err error }
 
 // killedShutdown is the pre-boxed shutdown payload. Shutdown unwinds
 // every live process, so boxing a fresh value per panic would cost one
-// allocation per parked goroutine at every rig teardown.
+// allocation per parked process at every rig teardown.
 var killedShutdown any = &killed{err: ErrShutdown}
-
-// procPool is the cross-kernel free list of detached processes: their
-// goroutines stay parked between simulations, so a host that runs many
-// bounded simulations (benchmark loops, the simulation service, sweep
-// workers) reuses goroutines, channels and hoisted callbacks across
-// rigs instead of re-creating a backlog's worth per run. Bounded so an
-// idle host pins a bounded number of parked goroutines.
-var procPool struct {
-	sync.Mutex
-	head *Proc
-	n    int
-}
-
-// procPoolCap bounds the cross-kernel pool (~a few MB of parked
-// goroutine stacks at most, sized to the largest experiment backlog).
-const procPoolCap = 8192
-
-// releaseProcGlobal pushes a finished detached process onto the
-// cross-kernel pool, detaching it from its (dying) kernel. It reports
-// false when the pool is full, in which case the caller lets the
-// goroutine exit. Safe to call from the process's own goroutine (after
-// finish) or from a shutdown that owns the parked process.
-func releaseProcGlobal(p *Proc) bool {
-	procPool.Lock()
-	if procPool.n >= procPoolCap {
-		procPool.Unlock()
-		return false
-	}
-	p.k = nil
-	p.timer = Event{}
-	p.timerSeq, p.timerErr = 0, nil
-	p.pending = wakeMsg{}
-	p.freeNext = procPool.head
-	procPool.head = p
-	procPool.n++
-	procPool.Unlock()
-	return true
-}
-
-// adoptProcGlobal pops a pooled detached process and re-homes it on k.
-func adoptProcGlobal(k *Kernel) *Proc {
-	procPool.Lock()
-	p := procPool.head
-	if p != nil {
-		procPool.head = p.freeNext
-		procPool.n--
-	}
-	procPool.Unlock()
-	if p != nil {
-		p.freeNext = nil
-		p.k = k
-	}
-	return p
-}
 
 // wakeMsg carries the reason a parked process is resumed.
 type wakeMsg struct {
@@ -121,9 +67,11 @@ func (s ProcState) String() string {
 	}
 }
 
-// Proc is a simulation process: sequential code running on its own
-// goroutine under the kernel's strict handoff discipline. At any instant
-// at most one process (or event callback) executes; all others are parked.
+// Proc is a simulation process: sequential code running as a coroutine
+// (iter.Pull) that the kernel resumes and the process suspends by
+// explicit switches, never through the Go scheduler. At any instant at
+// most one process (or event callback) executes; all others are parked
+// inside their coroutines.
 //
 // Process bodies receive the Proc and use its blocking operations (Wait,
 // WaitUntil, and the channel/resource operations in this package). Blocking
@@ -138,8 +86,12 @@ type Proc struct {
 	id   uint64
 	name string
 
-	wake   chan wakeMsg  // kernel -> proc: resume
-	parked chan struct{} // proc -> kernel: parked or finished
+	// next switches into the process's coroutine and returns when the
+	// process parks or finishes; yield, captured by the coroutine when it
+	// first runs, switches back. stop retires an idle detached process.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// blockSeq numbers blocking episodes; armed is true from blockBegin
 	// until the episode's wake is claimed. Together they make every
@@ -152,7 +104,7 @@ type Proc struct {
 	// timedOut records that the current episode's wake was claimed by
 	// the deadline timer (a waiter that gave up, for Chan bookkeeping).
 	timedOut bool
-	// pending carries the wake message from deliverAt to resumeFn.
+	// pending is the wake message the process reads when it is resumed.
 	pending wakeMsg
 
 	// blockedOp/blockedObj name the blocking call (e.g. "Recv", "data0")
@@ -182,9 +134,11 @@ type Proc struct {
 	timerFn  func()
 	startFn  func()
 
-	// body and freeNext support detached processes recycled through the
-	// kernel free-list (see SpawnDetached).
+	// body is the function the next activation runs. A detached process
+	// serves one body per SpawnDetached and idles on the kernel free
+	// list (linked by freeNext) between them.
 	body     func(p *Proc)
+	detached bool
 	freeNext *Proc
 }
 
@@ -203,15 +157,24 @@ func (p *Proc) Done() bool { return p.done }
 // Err returns the error the process was terminated with, if any.
 func (p *Proc) Err() error { return p.killErr }
 
-func newProc(k *Kernel, name string) *Proc {
+// newProc builds a process and its coroutine, which serves Spawn and
+// SpawnDetached alike: it runs bodies until one ends the process, idling
+// between the bodies of a detached process until SpawnDetached reuses it
+// or the kernel retires it with stop.
+func newProc(k *Kernel, name string, fn func(p *Proc), detached bool) *Proc {
 	p := &Proc{
-		k:      k,
-		name:   name,
-		wake:   make(chan wakeMsg),
-		parked: make(chan struct{}),
-		state:  StateCreated,
+		k:        k,
+		name:     name,
+		state:    StateCreated,
+		body:     fn,
+		detached: detached,
 	}
-	p.resumeFn = func() { p.resume(p.pending) }
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		for p.run() && yield(struct{}{}) {
+		}
+	})
+	p.resumeFn = func() { p.next() }
 	p.timerFn = func() {
 		if p.deliverAt(p.timerSeq, wakeMsg{err: p.timerErr}) {
 			p.timedOut = true
@@ -230,9 +193,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt starts a new process at absolute time t ≥ Now.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := newProc(k, name)
+	p := newProc(k, name, fn, false)
 	k.procs[p] = struct{}{}
-	go p.run(fn)
 	p.beginStart(t)
 	k.trace(p, StateCreated, "spawn")
 	return p
@@ -240,28 +202,23 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 
 // SpawnDetached starts a fire-and-forget process at the current time.
 // The caller must not retain or share any reference to the process:
-// finished detached processes (goroutine, channels, embedded timer) are
-// recycled through a kernel free-list, so a held pointer could alias a
-// later, unrelated process. Use Spawn when the process must be observed
+// finished detached processes (coroutine, embedded timer) are recycled
+// through a kernel free-list, so a held pointer could alias a later,
+// unrelated process. Use Spawn when the process must be observed
 // (Join, Interrupt, Done) after spawning.
 func (k *Kernel) SpawnDetached(name string, fn func(p *Proc)) {
 	p := k.freeProc
 	if p != nil {
 		k.freeProc = p.freeNext
 		p.freeNext = nil
-	} else {
-		p = adoptProcGlobal(k)
-	}
-	if p == nil {
-		p = newProc(k, name)
-		go p.runDetached()
-	} else {
 		p.name = name
 		p.done = false
 		p.killErr = nil
 		p.state = StateCreated
+		p.body = fn
+	} else {
+		p = newProc(k, name, fn, true)
 	}
-	p.body = fn
 	k.procs[p] = struct{}{}
 	p.beginStart(k.now)
 	k.trace(p, StateCreated, "spawn")
@@ -290,86 +247,40 @@ func (p *Proc) start() {
 	p.resume(wakeMsg{})
 }
 
-// run is the goroutine body: wait for the initial resume, execute fn,
-// then signal completion.
-func (p *Proc) run(fn func(p *Proc)) {
-	msg := <-p.wake
-	if msg.err != nil {
+// run executes the pending body under the kill/panic protocol and
+// reports whether the process goes on to idle on the detached free list.
+// A panic other than a kill is recorded and re-raised; the coroutine
+// carries it to the caller of next, so it surfaces in Run.
+func (p *Proc) run() (again bool) {
+	if err := p.pending.err; err != nil {
 		// Killed before it ever ran.
-		p.killErr = msg.err
+		p.killErr = err
 		p.finish(false)
-		return
+		return false
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			if kd, ok := r.(*killed); ok {
-				p.killErr = kd.err
-				p.finish(false)
-				return
-			}
-			// Record the panic, return control to the kernel, then crash:
-			// dying silently on a detached goroutine would hang the kernel.
+		r := recover()
+		kd, isKill := r.(*killed)
+		switch {
+		case isKill:
+			p.killErr = kd.err
+		case r != nil:
 			p.killErr = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			p.finish(false)
+		}
+		again = r == nil && p.detached
+		p.finish(again)
+		if r != nil && !isKill {
 			panic(r)
 		}
-		p.finish(false)
-	}()
-	p.setState(StateRunning, "start")
-	fn(p)
-}
-
-// runDetached is the goroutine body of a pooled process: it serves one
-// body per activation and parks on the free-list between them, so frame-
-// rate spawners reuse one goroutine instead of creating one per spawn.
-func (p *Proc) runDetached() {
-	for {
-		msg := <-p.wake
-		if msg.err != nil {
-			// Killed before starting (kernel shutdown). Park on the
-			// cross-kernel pool for the next simulation; exit for good
-			// only when the pool is full.
-			p.killErr = msg.err
-			p.finish(false)
-			if !releaseProcGlobal(p) {
-				return
-			}
-			continue
-		}
-		if !p.runBody() {
-			return
-		}
-	}
-}
-
-// runBody executes one detached body under the kill/panic protocol and
-// reports whether the goroutine should keep serving the free-list.
-func (p *Proc) runBody() (again bool) {
-	again = true
-	defer func() {
-		if r := recover(); r != nil {
-			again = false
-			if kd, ok := r.(*killed); ok {
-				// Shutdown unwound the body; the goroutine itself is
-				// healthy, so park it on the cross-kernel pool.
-				p.killErr = kd.err
-				p.finish(false)
-				again = releaseProcGlobal(p)
-				return
-			}
-			p.killErr = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			p.finish(false)
-			panic(r)
-		}
-		p.finish(true)
 	}()
 	p.setState(StateRunning, "start")
 	p.body(p)
 	return
 }
 
-// finish marks the process done, wakes joiners, optionally releases it to
-// the detached free-list, and returns control to the kernel.
+// finish marks the process done, wakes joiners and optionally releases
+// it to the detached free-list. Control returns to the kernel when the
+// coroutine next yields or returns.
 func (p *Proc) finish(release bool) {
 	p.done = true
 	p.armed = false
@@ -384,14 +295,15 @@ func (p *Proc) finish(release bool) {
 		p.freeNext = p.k.freeProc
 		p.k.freeProc = p
 	}
-	p.parked <- struct{}{}
 }
 
-// resume hands control to the process and blocks until it parks again or
-// finishes. Must be called from kernel context (an event callback).
+// resume hands control to the process with msg and returns when it parks
+// again or finishes. Must be called from kernel context (an event
+// callback), or from a running process for a process that has not
+// started.
 func (p *Proc) resume(msg wakeMsg) {
-	p.wake <- msg
-	<-p.parked
+	p.pending = msg
+	p.next()
 }
 
 // deliverAt wakes the process out of block episode seq with msg. Exactly
@@ -422,7 +334,7 @@ func (p *Proc) deliverAt(seq uint64, msg wakeMsg) bool {
 	}
 	p.pending = msg
 	// Route the wake through the event queue so wake ordering is
-	// determined by schedule order, never by goroutine scheduling.
+	// determined by schedule order, never by the order of wake calls.
 	p.k.post(p.resumeFn)
 	return true
 }
@@ -454,8 +366,8 @@ func (p *Proc) park() wakeMsg {
 	if p.k.tracer != nil {
 		p.k.tracer.ProcState(p.k.now, p, StateBlocked, p.blockedWhy())
 	}
-	p.parked <- struct{}{}
-	msg := <-p.wake
+	p.yield(struct{}{})
+	msg := p.pending
 	p.blockedOp, p.blockedObj = "", ""
 	if msg.err != nil && errors.Is(msg.err, ErrShutdown) {
 		panic(killedShutdown)

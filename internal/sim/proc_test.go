@@ -2,7 +2,11 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestProcRunsAndWaits(t *testing.T) {
@@ -378,5 +382,127 @@ func TestJoinManyWaiters(t *testing.T) {
 	k.Run()
 	if done != 5 {
 		t.Fatalf("%d joiners woke correctly, want 5", done)
+	}
+}
+
+// runRecovered runs fn and returns the value it panicked with, if any.
+func runRecovered(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+func TestProcPanicSurfacesInRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(k *Kernel)
+	}{
+		{"Run", func(k *Kernel) { k.Run() }},
+		{"RunUntil", func(k *Kernel) { k.RunUntil(10) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			bad := k.Spawn("bad", func(p *Proc) {
+				p.Wait(1)
+				panic("boom")
+			})
+			r := runRecovered(func() { tc.run(k) })
+			if r != "boom" {
+				t.Fatalf("%s recovered %v, want the process's panic value", tc.name, r)
+			}
+			if !bad.Done() {
+				t.Fatal("panicking process not marked done")
+			}
+			if err := bad.Err(); err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("Err() = %v, want it to name the process and the panic", err)
+			}
+			if k.Now() != 1 {
+				t.Fatalf("clock at %v, want 1 (the panicking event)", k.Now())
+			}
+		})
+	}
+}
+
+func TestInterruptUnstartedFromRunningProc(t *testing.T) {
+	k := NewKernel()
+	rec := &Recorder{}
+	k.SetTracer(rec)
+	ran := false
+	late := k.SpawnAt(5, "late", func(p *Proc) { ran = true })
+	k.Spawn("early", func(p *Proc) {
+		p.Wait(1)
+		// late has not started: the interrupt resumes it directly, from
+		// inside this process, and it finishes before Interrupt returns.
+		late.Interrupt("cancel")
+		if !late.Done() {
+			t.Error("unstarted process not finished when Interrupt returned")
+		}
+		p.Wait(1)
+	})
+	k.Run()
+	if ran {
+		t.Fatal("interrupted process ran its body")
+	}
+	if !errors.Is(late.Err(), ErrInterrupted) {
+		t.Fatalf("late.Err() = %v, want ErrInterrupted", late.Err())
+	}
+	if k.Now() != 2 {
+		t.Fatalf("clock at %v, want 2: the canceled start event at 5 must not fire", k.Now())
+	}
+	var got []string
+	for _, r := range rec.Records {
+		if r.State == StateDone || r.State == StateBlocked {
+			got = append(got, fmt.Sprintf("%v %s %v", r.T, r.Proc, r.State))
+		}
+	}
+	want := []string{"0 early blocked", "1 late done", "1 early blocked", "2 early done"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", got, want)
+	}
+}
+
+// settledGoroutines waits briefly for exiting goroutines to be reaped and
+// returns the count once it is at most want (or the last count seen).
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestShutdownReleasesCoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	never := NewChan[int](k, "never")
+	for i := 0; i < 8; i++ {
+		k.Spawn("blocked", func(p *Proc) { never.Recv(p) })
+		k.Spawn("sleeper", func(p *Proc) { p.Wait(100) })
+		k.Spawn("quick", func(p *Proc) { p.Wait(1) })
+		k.SpawnAt(50, "unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+		k.SpawnDetached("detached", func(p *Proc) { p.Wait(1) })
+		k.SpawnDetached("detached-blocked", func(p *Proc) { never.Recv(p) })
+	}
+	// A second wave reuses some of the finished detached processes and
+	// leaves the rest idle on the free list.
+	k.At(2, func() {
+		for i := 0; i < 3; i++ {
+			k.SpawnDetached("reused", func(p *Proc) { never.Recv(p) })
+		}
+	})
+	k.RunUntil(10)
+	if k.freeProc == nil {
+		t.Fatal("no idle detached process on the free list; the test does not cover it")
+	}
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines with processes parked, baseline %d: coroutines not counted", n, base)
+	}
+	k.Shutdown()
+	if k.LiveProcs() != 0 || k.freeProc != nil {
+		t.Fatalf("after Shutdown: %d live procs, free list empty %v", k.LiveProcs(), k.freeProc == nil)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Shutdown, baseline %d: process coroutines leaked", n, base)
 	}
 }

@@ -6,9 +6,12 @@
 // of a simulation bit-for-bit reproducible.
 //
 // On top of the raw event queue, the package provides a process abstraction
-// (Proc) in the style of process-oriented simulators: each process runs on
-// its own goroutine, but the kernel enforces a strict one-runnable-at-a-time
-// handoff, so processes may use ordinary sequential control flow (loops,
+// (Proc) in the style of process-oriented simulators: each process is a
+// coroutine (iter.Pull) that the kernel resumes from an event callback and
+// that hands control back when it blocks, the way SystemC kernels run
+// SC_THREAD processes. Exactly one process or callback runs at a time and
+// control moves only by these explicit switches, never through the Go
+// scheduler, so processes may use ordinary sequential control flow (loops,
 // blocking waits, channel receives) without introducing nondeterminism.
 //
 // The kernel is the substrate for every experiment in this repository: CPU
@@ -124,8 +127,8 @@ type Kernel struct {
 	cancelEvery uint64
 
 	// freeProc heads the free-list of finished detached processes; their
-	// goroutines, channels and embedded timer Events are recycled by
-	// SpawnDetached. See proc.go.
+	// coroutines and embedded timer Events are recycled by SpawnDetached.
+	// See proc.go.
 	freeProc *Proc
 }
 
@@ -482,12 +485,12 @@ func (k *Kernel) SetCancelCheck(every int, fn func() bool) {
 	k.cancelFn, k.cancelEvery = fn, uint64(every)
 }
 
-// Shutdown terminates every live process and releases its goroutine,
-// for hosts that end a simulation at a bounded horizon (RunUntil)
-// instead of draining the queue. Run performs the same teardown
-// implicitly when the queue empties; a bounded run that skips Shutdown
-// strands its parked process goroutines for the life of the host
-// process — harmless in a run-once CLI, a leak per request in a
+// Shutdown terminates every live process and ends its coroutine, idle
+// detached ones included, for hosts that end a simulation at a bounded
+// horizon (RunUntil) instead of draining the queue. Run performs the
+// same teardown implicitly when the queue empties; a bounded run that
+// skips Shutdown strands its parked process coroutines for the life of
+// the host process — harmless in a run-once CLI, a leak per request in a
 // long-running simulation server. The kernel must not be run again
 // afterwards.
 func (k *Kernel) Shutdown() { k.shutdownProcs() }
@@ -504,10 +507,10 @@ func (k *Kernel) NextEventTime() Time {
 	return Infinity
 }
 
-// shutdownProcs terminates all parked processes so their goroutines exit.
-// Called when Run drains the queue; processes receive ErrShutdown from
-// their blocking call and are expected to return promptly. The detached
-// process free-list is drained last so recycled goroutines exit too.
+// shutdownProcs terminates all parked processes so their coroutines
+// exit. Called when Run drains the queue; processes receive ErrShutdown
+// from their blocking call and are expected to return promptly. The
+// detached process free-list is retired last so idle coroutines exit too.
 func (k *Kernel) shutdownProcs() {
 	for len(k.procs) > 0 {
 		var p *Proc
@@ -522,13 +525,7 @@ func (k *Kernel) shutdownProcs() {
 	for p := k.freeProc; p != nil; {
 		next := p.freeNext
 		p.freeNext = nil
-		// Idle pooled processes are parked between bodies; move them to
-		// the cross-kernel pool without waking them. Only when that pool
-		// is full does the goroutine get shut down for good.
-		if !releaseProcGlobal(p) {
-			p.wake <- wakeMsg{err: ErrShutdown}
-			<-p.parked
-		}
+		p.stop()
 		p = next
 	}
 	k.freeProc = nil
