@@ -12,6 +12,7 @@ package dvsim
 // metrics next to the model's value.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -108,7 +109,7 @@ func BenchmarkFig10Summary(b *testing.B) {
 	p := core.DefaultParams()
 	var outs []core.Outcome
 	for i := 0; i < b.N; i++ {
-		outs = core.RunSuite(core.Fig10Experiments, p)
+		outs = core.RunSuite(core.Fig10Experiments, p, 0)
 	}
 	for _, o := range outs {
 		b.ReportMetric(o.Rnorm*100, "Rnorm_"+string(o.ID)+"_pct")
@@ -250,8 +251,8 @@ func BenchmarkAblationPipelineWidth(b *testing.B) {
 			stages := core.StagesFromPartition(pt, true)
 			var o core.Outcome
 			for i := 0; i < b.N; i++ {
-				o = core.RunCustom(fmt.Sprintf("%d-node", n), p, stages,
-					core.Options{RotationPeriod: p.RotationPeriod})
+				o = execJob(b, core.Job{Stages: stages, Label: fmt.Sprintf("%d-node", n), Params: p,
+					Options: core.Options{RotationPeriod: p.RotationPeriod}})
 			}
 			b.ReportMetric(o.BatteryLifeH, "hours")
 			b.ReportMetric(o.BatteryLifeH/float64(n)/t1*100, "Rnorm_pct")
@@ -355,12 +356,11 @@ func BenchmarkGovernedFrameLoop(b *testing.B) {
 			label = "none"
 		}
 		b.Run(label, func(b *testing.B) {
+			pg := p
+			pg.Governor = governor.Spec{Name: name}
 			var o core.Outcome
 			for i := 0; i < b.N; i++ {
-				o = core.RunCustom("bench", p, stages, core.Options{
-					MaxFrames: 200,
-					Governor:  governor.Spec{Name: name},
-				})
+				o = execJob(b, core.Job{Stages: stages, Label: "bench", Params: pg, Options: core.Options{MaxFrames: 200}})
 			}
 			b.ReportMetric(float64(o.Frames), "frames")
 		})
@@ -442,8 +442,18 @@ func BenchmarkMonteCarloFork(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snap.Fork(uint64(i)+1, 600, io.Discard); err != nil {
+		if _, err := snap.Fork(context.Background(), uint64(i)+1, 600, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// execJob runs a job that must succeed.
+func execJob(b *testing.B, j core.Job) core.Outcome {
+	b.Helper()
+	out, err := core.Exec(context.Background(), j)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }

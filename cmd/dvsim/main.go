@@ -555,7 +555,7 @@ func main() {
 		if *expFlag != "" {
 			id = core.ID(*expFlag)
 		}
-		if _, err := core.RunLogged(id, p, *runlog, os.Stdout); err != nil {
+		if _, err := core.Exec(context.Background(), core.Job{Exp: id, Params: p, UntilS: *runlog, Log: os.Stdout}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -614,7 +614,11 @@ func main() {
 	if metricsOut.on {
 		outs := make([]core.Outcome, 0, len(ids))
 		for _, id := range ids {
-			out := core.RunInstrumented(id, p)
+			out, err := core.Exec(context.Background(), core.Job{Exp: id, Params: p, Options: core.Options{Instrument: true}})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
 			fmt.Fprintf(metricsW, "# exp %s\n%s", out.ID, report.MetricsCSV(out.Metrics))
 			outs = append(outs, out)
 		}
@@ -622,7 +626,7 @@ func main() {
 		finishAssertions(spec, outs, violW, stopProf)
 		return
 	}
-	outs := core.RunSuiteParallel(ids, p, *workers)
+	outs := core.RunSuite(ids, p, *workers)
 
 	switch {
 	case portsOut.on:

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -89,8 +90,11 @@ func main() {
 			{"Fig 9 — node rotation across the rotation boundary",
 				core.Exp2C, pr, 9, 90, []string{"node1", "node2"}},
 		}
-		traces := sweep.Run(figs, 0, func(f tl) [][]node.ModeSpan {
-			return core.RunTraced(f.id, f.p, f.frames*f.p.FrameDelayS)
+		traces := sweep.Run(figs, 0, func(f tl) (tr [][]node.ModeSpan) {
+			if _, err := core.Exec(context.Background(), core.Job{Exp: f.id, Params: f.p, UntilS: f.frames * f.p.FrameDelayS, Trace: &tr}); err != nil {
+				panic(err)
+			}
+			return tr
 		})
 		for i, f := range figs {
 			fmt.Println(f.caption)
@@ -98,7 +102,7 @@ func main() {
 		}
 	}
 	if want("10") || want("compare") || want("energy") || want("md") {
-		outs := core.RunSuiteParallel(core.AllExperiments, p, 0)
+		outs := core.RunSuite(core.AllExperiments, p, 0)
 		if want("10") {
 			var fig10 []core.Outcome
 			for _, o := range outs {

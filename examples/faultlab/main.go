@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
@@ -34,11 +35,16 @@ func main() {
 	}
 
 	const frames = 200
-	out := core.RunCustom("faultlab", p, core.StagesFromPartition(best, true), core.Options{
-		Ack:       true,
-		MaxFrames: frames,
-		Faults:    sc,
+	p.Faults = sc
+	out, err := core.Exec(context.Background(), core.Job{
+		Stages:  core.StagesFromPartition(best, true),
+		Label:   "faultlab",
+		Params:  p,
+		Options: core.Options{Ack: true, MaxFrames: frames},
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("best two-node scheme under faults, %d frames offered\n\n", frames)
 	fs := out.FaultStats

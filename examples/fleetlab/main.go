@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
@@ -38,14 +39,14 @@ func main() {
 
 	fmt.Printf("%-18s %6s %8s %8s %10s %12s\n",
 		"fleet", "nodes", "frames", "dropped", "mAh", "mAh/frame")
-	row(core.RunTopology("tree 2x4", p, tree, core.Options{MaxFrames: 60}))
-	row(core.RunTopology("mesh 12x3", p, mesh, core.Options{MaxFrames: 60}))
+	row(run(core.Job{Graph: tree, Label: "tree 2x4", Params: p, Options: core.Options{MaxFrames: 60}}))
+	row(run(core.Job{Graph: mesh, Label: "mesh 12x3", Params: p, Options: core.Options{MaxFrames: 60}}))
 
 	// The same mesh with the wire made hostile: the default scenario's
 	// seeded 2% drop / 1% garble on every link.
 	pf := p
 	pf.Faults = core.DefaultFaultScenario()
-	out := core.RunTopology("mesh 12x3 faults", pf, mesh, core.Options{MaxFrames: 60})
+	out := run(core.Job{Graph: mesh, Label: "mesh 12x3 faults", Params: pf, Options: core.Options{MaxFrames: 60}})
 	row(out)
 	fmt.Printf("\nfaults injected into the mesh: %d drops, %d garbles\n",
 		out.FaultStats.Drops, out.FaultStats.Garbles)
@@ -53,4 +54,14 @@ func main() {
 	fmt.Println("scenario seed replay the same fleet event for event. The manifest")
 	fmt.Println("layer (dvsim -manifest, see MANIFESTS.md) sweeps these shapes by the")
 	fmt.Println("hundred from one declarative runfile.")
+}
+
+// run simulates one job; these configurations are known-good, so a
+// failure is a bug.
+func run(j core.Job) core.Outcome {
+	out, err := core.Exec(context.Background(), j)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -33,15 +34,23 @@ func main() {
 	}
 
 	results := make([]*atr.Result, frames)
-	out := core.RunCustom("native two-node", p, core.StagesFromPartition(best, true), core.Options{
-		Native:    &core.Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
-		MaxFrames: frames,
-		OnResult: func(frame int, payload any) {
-			if r, ok := payload.(*atr.Result); ok && frame < frames {
-				results[frame] = r
-			}
+	out, err := core.Exec(context.Background(), core.Job{
+		Stages: core.StagesFromPartition(best, true),
+		Label:  "native two-node",
+		Params: p,
+		Options: core.Options{
+			Native:    &core.Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
+			MaxFrames: frames,
+			OnResult: func(frame int, payload any) {
+				if r, ok := payload.(*atr.Result); ok && frame < frames {
+					results[frame] = r
+				}
+			},
 		},
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	detected, tplRight, distN := 0, 0, 0
 	var distErr float64

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/atr"
@@ -27,8 +28,8 @@ func main() {
 		// clock DURING serial transfers — isolating §5.2's technique.
 		stagesBase := []core.StageConfig{{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint, Idle: cpu.MinPoint}}
 		stagesDVS := []core.StageConfig{{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MinPoint, Idle: cpu.MinPoint}}
-		ob := core.RunCustom("base", p, stagesBase, core.Options{})
-		od := core.RunCustom("dvs-io", p, stagesDVS, core.Options{})
+		ob := run(core.Job{Stages: stagesBase, Label: "base", Params: p})
+		od := run(core.Job{Stages: stagesDVS, Label: "dvs-io", Params: p})
 		busy := 2.3 // RECV+PROC+SEND at full clock
 		idleFrac := 1 - busy/d
 		gain := od.BatteryLifeH / ob.BatteryLifeH
@@ -40,4 +41,14 @@ func main() {
 	fmt.Println("buys 24%; at sensor-network duty cycles the battery drains at the idle")
 	fmt.Println("floor regardless, which is why the paper's problem — DVS under tight")
 	fmt.Println("timing with expensive I/O — is a different regime from sensor networks.")
+}
+
+// run simulates one job; these configurations are known-good, so a
+// failure is a bug.
+func run(j core.Job) core.Outcome {
+	out, err := core.Exec(context.Background(), j)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

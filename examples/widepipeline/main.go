@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/atr"
@@ -30,9 +31,10 @@ func main() {
 	baseline := core.Run(core.Exp1, p).BatteryLifeH
 	fmt.Printf("\nbaseline T(1) = %.2f h\n\n", baseline)
 
-	static := core.RunCustom("4-node static", p, core.StagesFromPartition(pt, true), core.Options{})
-	rotated := core.RunCustom("4-node rotation", p, core.StagesFromPartition(pt, true),
-		core.Options{RotationPeriod: p.RotationPeriod})
+	stages := core.StagesFromPartition(pt, true)
+	static := run(core.Job{Stages: stages, Label: "4-node static", Params: p})
+	rotated := run(core.Job{Stages: stages, Label: "4-node rotation", Params: p,
+		Options: core.Options{RotationPeriod: p.RotationPeriod}})
 
 	for _, o := range []core.Outcome{static, rotated} {
 		rnorm := o.BatteryLifeH / float64(o.Nodes) / baseline
@@ -50,4 +52,14 @@ func main() {
 	}
 	fmt.Println("rotation spreads the heavy Compute-Distance stage across all four")
 	fmt.Println("batteries; the static split strands the charge of the light stages.")
+}
+
+// run simulates one job; these configurations are known-good, so a
+// failure is a bug.
+func run(j core.Job) core.Outcome {
+	out, err := core.Exec(context.Background(), j)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -132,48 +132,38 @@ func decodeRecord(t *testing.T, line string) LogRecord {
 	return r
 }
 
-// TestCheckedRunOutcome checks the plumbing: Params.Assertions and
-// Options.Assertions both turn a plain run into a checked one whose
-// verdict lands in the Outcome, and Options takes precedence.
+// TestCheckedRunOutcome checks the plumbing: Params.Assertions turns a
+// plain run (an experiment or a custom pipeline) into a checked one
+// whose verdict lands in the Outcome, and checking is an observer: apart
+// from the verdicts, the metrics snapshot and the sampler events an
+// instrumented run adds, the outcome equals the unchecked run's.
 func TestCheckedRunOutcome(t *testing.T) {
 	catalog := loadSpec(t, "catalog.json")
 	p := DefaultParams()
-	p.Assertions = catalog
-	out := Run(Exp1, p)
-	if out.AssertionsRun != len(catalog.Assertions) {
-		t.Fatalf("checked run evaluated %d assertions, want %d", out.AssertionsRun, len(catalog.Assertions))
-	}
-	if out.ViolationTotal != 0 || len(out.Violations) != 0 {
-		t.Fatalf("experiment 1 violated the catalog: %+v", out.Violations)
-	}
-	// The outcome must match the plain run exactly: checking is an
-	// observer, never a perturbation.
-	plain := Run(Exp1, DefaultParams())
-	if out.BatteryLifeH != plain.BatteryLifeH || out.Frames != plain.Frames {
-		t.Fatalf("checking perturbed the run: %v/%d vs %v/%d",
-			out.BatteryLifeH, out.Frames, plain.BatteryLifeH, plain.Frames)
-	}
-
-	// Options.Assertions overrides Params.Assertions.
-	broken := loadSpec(t, "broken.json")
-	pb := DefaultParams()
-	pb.Assertions = broken
-	best, err := pb.BestTwoNodeScheme()
+	best, err := p.BestTwoNodeScheme()
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := RunCustom("override", pb, StagesFromPartition(best, true),
-		Options{MaxFrames: 100, Assertions: catalog})
-	if o.AssertionsRun != len(catalog.Assertions) {
-		t.Fatalf("Options.Assertions did not take precedence: evaluated %d", o.AssertionsRun)
-	}
-	// The catalog may legitimately flag this partition (its ~2%
-	// feasibility slack lets latency drift past the 3·D deadline on a
-	// long unrotated run); precedence only demands that the broken
-	// spec's verdicts never appear.
-	for _, v := range o.Violations {
-		if v.Assertion == "impossible-deadline" {
-			t.Fatalf("Params spec leaked into an Options-checked run: %+v", v)
+	for _, j := range []Job{
+		{Exp: Exp1, Params: p},
+		{Stages: StagesFromPartition(best, true), Label: "checked", Params: p, Options: Options{MaxFrames: 100}},
+	} {
+		plain := execOK(t, j)
+		j.Params.Assertions = catalog
+		out := execOK(t, j)
+		if out.AssertionsRun != len(catalog.Assertions) {
+			t.Fatalf("%s: checked run evaluated %d assertions, want %d", out.ID, out.AssertionsRun, len(catalog.Assertions))
+		}
+		if out.ID == Exp1 && (out.ViolationTotal != 0 || len(out.Violations) != 0) {
+			t.Fatalf("experiment 1 violated the catalog: %+v", out.Violations)
+		}
+		// The custom partition may legitimately be flagged (its ~2%
+		// feasibility slack lets latency drift past the 3·D deadline on
+		// a long unrotated run), so only the rest must match.
+		out.Violations, out.AssertionsRun, out.ViolationTotal = nil, 0, 0
+		out.Metrics, out.Events, plain.Events = plain.Metrics, 0, 0
+		if !reflect.DeepEqual(out, plain) {
+			t.Fatalf("%s: checking perturbed the run:\n%+v\nvs\n%+v", out.ID, out, plain)
 		}
 	}
 }

@@ -67,10 +67,8 @@ func TestFaultTelemetryDeterministic(t *testing.T) {
 // still delivers its frames.
 func TestFaultRecoveryViaRetransmit(t *testing.T) {
 	p := DefaultParams()
-	out := RunCustom("faulty", p, faultyStages(t, p), Options{
-		MaxFrames: 300,
-		Faults:    lossyLinks(),
-	})
+	p.Faults = lossyLinks()
+	out := execOK(t, Job{Label: "faulty", Stages: faultyStages(t, p), Params: p, Options: Options{MaxFrames: 300}})
 	if out.FaultStats.Drops == 0 || out.FaultStats.Garbles == 0 {
 		t.Fatalf("no injected faults: %+v", out.FaultStats)
 	}
@@ -101,7 +99,8 @@ func TestFaultRetryOverride(t *testing.T) {
 	sc := lossyLinks()
 	sc.Links[0].DropRate = 0.3
 	sc.Retry = &serial.RetryPolicy{MaxAttempts: 1}
-	out := RunCustom("no-retry", p, faultyStages(t, p), Options{MaxFrames: 100, Faults: sc})
+	p.Faults = sc
+	out := execOK(t, Job{Label: "no-retry", Stages: faultyStages(t, p), Params: p, Options: Options{MaxFrames: 100}})
 	var retries, giveUps int
 	for _, ps := range out.PortStats {
 		retries += ps.TxRetries
@@ -124,11 +123,8 @@ func TestFaultCrashMigration(t *testing.T) {
 		Seed:    3,
 		Crashes: []fault.Crash{{Node: "node2", AtS: 100}},
 	}
-	out := RunCustom("crash", p, faultyStages(t, p), Options{
-		Ack:       true,
-		MaxFrames: 150,
-		Faults:    sc,
-	})
+	p.Faults = sc
+	out := execOK(t, Job{Label: "crash", Stages: faultyStages(t, p), Params: p, Options: Options{Ack: true, MaxFrames: 150}})
 	if out.FaultStats.Crashes != 1 || out.FaultStats.Restarts != 0 {
 		t.Fatalf("fault stats %+v", out.FaultStats)
 	}
@@ -164,11 +160,8 @@ func TestFaultCrashRestart(t *testing.T) {
 		Seed:    3,
 		Crashes: []fault.Crash{{Node: "node2", AtS: 60, RestartAfterS: 10}},
 	}
-	out := RunCustom("blip", p, faultyStages(t, p), Options{
-		Ack:       true,
-		MaxFrames: 100,
-		Faults:    sc,
-	})
+	p.Faults = sc
+	out := execOK(t, Job{Label: "blip", Stages: faultyStages(t, p), Params: p, Options: Options{Ack: true, MaxFrames: 100}})
 	if out.FaultStats.Crashes != 1 || out.FaultStats.Restarts != 1 {
 		t.Fatalf("fault stats %+v", out.FaultStats)
 	}
@@ -239,7 +232,7 @@ func TestExp2DSmoke(t *testing.T) {
 // transfer observers do, instead of replacing them.
 func TestRecorderHooksChain(t *testing.T) {
 	var faults, retries int
-	opts := pipelineOpts{
+	opts := runOpts{
 		faults:  &fault.Scenario{},
 		onFault: func(fault.Event) { faults++ },
 		onRetry: func(serial.RetryEvent) { retries++ },

@@ -18,15 +18,15 @@ func TestFleetChainRoutesThroughPipeline(t *testing.T) {
 	p := DefaultParams()
 	g := topology.Serial(3, topology.Config{})
 	opts := Options{MaxFrames: 40}
-	got := RunTopology("serial/3", p, g, opts)
+	got := execOK(t, Job{Graph: g, Label: "serial/3", Params: p, Options: opts})
 
 	stages := make([]StageConfig, len(g.Nodes))
 	for i, ns := range g.Nodes {
 		stages[i] = StageConfig{Compute: ns.Compute, Comm: ns.Comm, Idle: ns.Idle, RefS: ns.RefS, OutKB: ns.OutKB}
 	}
-	want := RunCustom("serial/3", p, stages, opts)
+	want := execOK(t, Job{Stages: stages, Label: "serial/3", Params: p, Options: opts})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("chain topology diverged from RunCustom:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("chain topology diverged from its Stages job:\n got %+v\nwant %+v", got, want)
 	}
 	if got.Frames != 40 {
 		t.Fatalf("bounded chain delivered %d frames, want 40", got.Frames)
@@ -38,7 +38,7 @@ func TestFleetChainRoutesThroughPipeline(t *testing.T) {
 func TestFleetTreeDelivers(t *testing.T) {
 	p := DefaultParams()
 	g := topology.Tree(2, 2, topology.Config{})
-	out := RunTopology("tree/2x2", p, g, Options{MaxFrames: 20})
+	out := execOK(t, Job{Graph: g, Label: "tree/2x2", Params: p, Options: Options{MaxFrames: 20}})
 	if out.Nodes != 7 {
 		t.Fatalf("tree has %d nodes, want 7", out.Nodes)
 	}
@@ -51,7 +51,7 @@ func TestFleetTreeDelivers(t *testing.T) {
 		}
 	}
 	// Determinism: an identical run is byte-identical in outcome.
-	again := RunTopology("tree/2x2", p, g, Options{MaxFrames: 20})
+	again := execOK(t, Job{Graph: g, Label: "tree/2x2", Params: p, Options: Options{MaxFrames: 20}})
 	if !reflect.DeepEqual(out, again) {
 		t.Fatal("tree run is not deterministic")
 	}
@@ -61,10 +61,11 @@ func TestFleetTreeDelivers(t *testing.T) {
 // host collector to Options.OnResult, as the pipeline engine does.
 func TestFleetOnResult(t *testing.T) {
 	var frames []int
-	out := RunTopology("tree/2x2", DefaultParams(), topology.Tree(2, 2, topology.Config{}), Options{
-		MaxFrames: 20,
-		OnResult:  func(frame int, _ any) { frames = append(frames, frame) },
-	})
+	out := execOK(t, Job{Graph: topology.Tree(2, 2, topology.Config{}), Label: "tree/2x2", Params: DefaultParams(),
+		Options: Options{
+			MaxFrames: 20,
+			OnResult:  func(frame int, _ any) { frames = append(frames, frame) },
+		}})
 	if out.Frames != 20 || len(frames) != out.Frames {
 		t.Fatalf("OnResult saw %d results of %d delivered, want 20", len(frames), out.Frames)
 	}
@@ -80,7 +81,7 @@ func TestFleetOnResult(t *testing.T) {
 func TestFleetWideRoundRobin(t *testing.T) {
 	p := DefaultParams()
 	g := topology.Wide(2, 2, topology.Config{})
-	out := RunTopology("wide/2x2", p, g, Options{MaxFrames: 40})
+	out := execOK(t, Job{Graph: g, Label: "wide/2x2", Params: p, Options: Options{MaxFrames: 40}})
 	if out.Frames != 40 {
 		t.Fatalf("wide pipeline delivered %d frames, want 40", out.Frames)
 	}
@@ -103,14 +104,14 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 		Links: []fault.LinkFault{{DropRate: 0.05, GarbleRate: 0.02}},
 	}
 	g := topology.Mesh(4, 2, topology.Config{})
-	out := RunTopology("mesh/4x2", p, g, Options{MaxFrames: 60})
+	out := execOK(t, Job{Graph: g, Label: "mesh/4x2", Params: p, Options: Options{MaxFrames: 60}})
 	if out.FaultStats.Drops+out.FaultStats.Garbles == 0 {
 		t.Fatal("scenario injected nothing")
 	}
 	if out.Frames == 0 {
 		t.Fatal("mesh delivered nothing under a 5% drop rate")
 	}
-	again := RunTopology("mesh/4x2", p, g, Options{MaxFrames: 60})
+	again := execOK(t, Job{Graph: g, Label: "mesh/4x2", Params: p, Options: Options{MaxFrames: 60}})
 	if !reflect.DeepEqual(out, again) {
 		t.Fatal("faulted mesh run is not deterministic")
 	}
@@ -120,11 +121,9 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 // worker engine and its accounting lands in NodeStats.
 func TestFleetGoverned(t *testing.T) {
 	p := DefaultParams()
+	p.Governor = governor.Spec{Name: "interval"}
 	g := topology.Tree(2, 2, topology.Config{})
-	out := RunTopology("tree/governed", p, g, Options{
-		MaxFrames: 30,
-		Governor:  governor.Spec{Name: "interval"},
-	})
+	out := execOK(t, Job{Graph: g, Label: "tree/governed", Params: p, Options: Options{MaxFrames: 30}})
 	if out.Governor == "" {
 		t.Fatal("outcome does not name the governor")
 	}
@@ -162,7 +161,8 @@ func TestFleetAssertions(t *testing.T) {
 	}
 	p := DefaultParams()
 	g := topology.Mesh(3, 1, topology.Config{})
-	out := RunTopology("mesh/checked", p, g, Options{MaxFrames: 20, Assertions: clean})
+	p.Assertions = clean
+	out := execOK(t, Job{Graph: g, Label: "mesh/checked", Params: p, Options: Options{MaxFrames: 20}})
 	if out.AssertionsRun != 2 {
 		t.Fatalf("ran %d assertions, want 2", out.AssertionsRun)
 	}
@@ -180,7 +180,8 @@ func TestFleetAssertions(t *testing.T) {
 			Max:    &impossible,
 		}},
 	}
-	out = RunTopology("mesh/broken", p, g, Options{MaxFrames: 20, Assertions: broken})
+	p.Assertions = broken
+	out = execOK(t, Job{Graph: g, Label: "mesh/broken", Params: p, Options: Options{MaxFrames: 20}})
 	if out.ViolationTotal == 0 {
 		t.Fatal("unsatisfiable spec reported no violations")
 	}
@@ -201,14 +202,15 @@ func TestRunExperimentBound(t *testing.T) {
 	}
 }
 
-// TestRunGovernorPolicyMatchesStudy: the single-policy entry point is
-// one point of RunGovernorStudy, byte for byte.
+// TestRunGovernorPolicyMatchesStudy: a single 3A run under one policy
+// is one point of RunGovernorStudy, byte for byte.
 func TestRunGovernorPolicyMatchesStudy(t *testing.T) {
 	p := DefaultParams()
 	study := RunGovernorStudy(p, 0, 120)
 	specs := GovernorStudySpecs()
 	for i, s := range specs {
-		got := RunGovernorPolicy(p, s, 120)
+		p.Governor = s
+		got := RunExperiment(Exp3A, p, 120)
 		if !reflect.DeepEqual(got, study[i]) {
 			t.Fatalf("policy %s diverged from the study run", s.String())
 		}

@@ -22,7 +22,7 @@ var updateFleetGolden = flag.Bool("update", false, "rewrite the fleet golden fil
 // again under an unsatisfiable catalog, so the assertion record path —
 // mode traces, deaths, samples, results, faults, retries, governs — is
 // pinned through Violations.
-func fleetGoldenRuns() []Outcome {
+func fleetGoldenRuns(t *testing.T) []Outcome {
 	p := DefaultParams()
 	meshFaults := &fault.Scenario{
 		Seed:  7,
@@ -32,23 +32,20 @@ func fleetGoldenRuns() []Outcome {
 			{Node: "node5", AtS: 40, RestartAfterS: 10},
 		},
 	}
-	mesh := Options{
-		MaxFrames:  60,
-		Instrument: true,
-		Governor:   governor.Spec{Name: "interval"},
-		Faults:     meshFaults,
-	}
-	tree := Options{
-		MaxFrames:  40,
-		Instrument: true,
-		Faults: &fault.Scenario{
-			Seed:    3,
-			Crashes: []fault.Crash{{Node: "node1", AtS: 20, RestartAfterS: 15}},
-		},
+	mesh := Job{Graph: topology.Mesh(4, 2, topology.Config{}), Label: "mesh/4x2", Params: p,
+		Options: Options{MaxFrames: 60, Instrument: true}}
+	mesh.Params.Governor = governor.Spec{Name: "interval"}
+	mesh.Params.Faults = meshFaults
+	tree := Job{Graph: topology.Tree(2, 2, topology.Config{}), Label: "tree/2x2", Params: p,
+		Options: Options{MaxFrames: 40, Instrument: true}}
+	tree.Params.Faults = &fault.Scenario{
+		Seed:    3,
+		Crashes: []fault.Crash{{Node: "node1", AtS: 20, RestartAfterS: 15}},
 	}
 	impossible := -1.0
 	broken := mesh
-	broken.Assertions = &assert.Spec{
+	broken.Label = "mesh/broken"
+	broken.Params.Assertions = &assert.Spec{
 		Name: "fleet-broken",
 		Assertions: []assert.Assertion{{
 			Name:   "soc-negative",
@@ -57,11 +54,7 @@ func fleetGoldenRuns() []Outcome {
 			Max:    &impossible,
 		}},
 	}
-	return []Outcome{
-		RunTopology("mesh/4x2", p, topology.Mesh(4, 2, topology.Config{}), mesh),
-		RunTopology("tree/2x2", p, topology.Tree(2, 2, topology.Config{}), tree),
-		RunTopology("mesh/broken", p, topology.Mesh(4, 2, topology.Config{}), broken),
-	}
+	return []Outcome{execOK(t, mesh), execOK(t, tree), execOK(t, broken)}
 }
 
 // TestFleetGolden pins the graph worker engine byte for byte: the
@@ -71,7 +64,7 @@ func fleetGoldenRuns() []Outcome {
 //	go test ./internal/core -run TestFleetGolden -update
 func TestFleetGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, out := range fleetGoldenRuns() {
+	for _, out := range fleetGoldenRuns(t) {
 		b, err := json.Marshal(out)
 		if err != nil {
 			t.Fatal(err)

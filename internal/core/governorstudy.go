@@ -1,7 +1,8 @@
 package core
 
 import (
-	"dvsim/internal/cpu"
+	"context"
+
 	"dvsim/internal/governor"
 	"dvsim/internal/sweep"
 )
@@ -11,7 +12,9 @@ import (
 // DVS during I/O on), run once per online DVS policy. The static policy
 // then reproduces the expensive full-clock baseline, and each adaptive
 // governor shows how much of the paper's offline Table-driven saving it
-// recovers online — without ever having seen the profile.
+// recovers online — without ever having seen the profile. As a single
+// run (a Job's Exp, a manifest experiment line) it runs the policy in
+// Params.Governor.
 const Exp3A ID = "3A"
 
 // GovernorStudySpecs lists the policies experiment 3A compares, in run
@@ -31,25 +34,10 @@ func GovernorStudySpecs() []governor.Spec {
 // workers parallelizes across policies (≤ 0 selects GOMAXPROCS).
 func RunGovernorStudy(p Params, workers, maxFrames int) []Outcome {
 	return sweep.Run(GovernorStudySpecs(), workers, func(s governor.Spec) Outcome {
-		return RunGovernorPolicy(p, s, maxFrames)
+		p := p
+		p.Governor = s
+		return must(Exec(context.Background(), Job{Exp: Exp3A, Params: p, Options: Options{MaxFrames: maxFrames}}))
 	})
-}
-
-// RunGovernorPolicy executes one point of the governor study: the 3A
-// pipeline (experiment-2 partition, full-clock cold start, DVS during
-// I/O) under a single online policy. It is what manifest experiment
-// lines with `experiment = "3A"` expand to, one line per policy.
-func RunGovernorPolicy(p Params, s governor.Spec, maxFrames int) Outcome {
-	stages := []stageSetup{
-		{span: mustSpan(p, 0), compute: cpu.MaxPoint, comm: cpu.MinPoint},
-		{span: mustSpan(p, 1), compute: cpu.MaxPoint, comm: cpu.MinPoint},
-	}
-	out := runPipeline(Exp3A, p, stages, pipelineOpts{
-		governor:  s,
-		maxFrames: maxFrames,
-	})
-	out.Label = "Governor study: " + s.String()
-	return out
 }
 
 // EnergyPerFrameMAh is the run's total battery charge spent per

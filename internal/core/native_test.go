@@ -12,12 +12,15 @@ import (
 // same frames produces: the distributed execution is semantics-preserving.
 func TestNativePipelineMatchesLocalProcessing(t *testing.T) {
 	p := DefaultParams()
-	best := mustBest(p)
+	best, err := p.BestTwoNodeScheme()
+	if err != nil {
+		t.Fatal(err)
+	}
 	const frames = 25
 	seed := int64(77)
 
 	got := make([]*atr.Result, frames)
-	out := RunCustom("native", p, StagesFromPartition(best, true), Options{
+	out := execOK(t, Job{Stages: StagesFromPartition(best, true), Label: "native", Params: p, Options: Options{
 		Native:    &Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
 		MaxFrames: frames,
 		OnResult: func(frame int, payload any) {
@@ -25,7 +28,7 @@ func TestNativePipelineMatchesLocalProcessing(t *testing.T) {
 				got[frame] = r
 			}
 		},
-	})
+	}})
 	if out.Frames != frames {
 		t.Fatalf("delivered %d results, want %d", out.Frames, frames)
 	}
@@ -57,10 +60,13 @@ func TestNativePipelineMatchesLocalProcessing(t *testing.T) {
 
 func TestNativeRotationPreservesResults(t *testing.T) {
 	p := DefaultParams()
-	best := mustBest(p)
+	best, err := p.BestTwoNodeScheme()
+	if err != nil {
+		t.Fatal(err)
+	}
 	const frames = 30
 	got := make([]*atr.Result, frames)
-	out := RunCustom("native-rot", p, StagesFromPartition(best, true), Options{
+	out := execOK(t, Job{Stages: StagesFromPartition(best, true), Label: "native-rot", Params: p, Options: Options{
 		Native:         &Native{Scene: atr.NewScene(5), Pipe: atr.NewPipeline()},
 		MaxFrames:      frames,
 		RotationPeriod: 7,
@@ -69,7 +75,7 @@ func TestNativeRotationPreservesResults(t *testing.T) {
 				got[frame] = r
 			}
 		},
-	})
+	}})
 	if out.Frames != frames {
 		t.Fatalf("delivered %d results, want %d", out.Frames, frames)
 	}

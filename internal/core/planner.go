@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -87,7 +88,8 @@ func PlanForLifetime(p Params, targetH float64, maxNodes, workers int) (Candidat
 	}
 	cands := enumerateCandidates(p, maxNodes)
 	evaluated := sweep.Run(cands, workers, func(c Candidate) Candidate {
-		c.Outcome = RunCustom(c.Name, p, c.Stages, Options{RotationPeriod: c.RotationPeriod})
+		c.Outcome = must(Exec(context.Background(), Job{Stages: c.Stages, Label: c.Name, Params: p,
+			Options: Options{RotationPeriod: c.RotationPeriod}}))
 		return c
 	})
 	sort.SliceStable(evaluated, func(i, j int) bool {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -10,11 +8,9 @@ import (
 	"dvsim/internal/assert"
 	"dvsim/internal/fault"
 	"dvsim/internal/governor"
-	"dvsim/internal/host"
 	"dvsim/internal/metrics"
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
-	"dvsim/internal/sim"
 	telem "dvsim/internal/telemetry"
 )
 
@@ -145,11 +141,11 @@ func lessRecord(a, b LogRecord) bool {
 	return a.Assert < b.Assert
 }
 
-// recorder gathers a rig's observable events as LogRecords. hooks must
-// be installed before buildPipeline (they ride in pipelineOpts), attach
-// after it; collect finalizes the stream in deterministic order. It is
-// the shared substrate of RunLogged/RunTelemetry and assertion-checked
-// runs.
+// recorder gathers a run's observable events as LogRecords. hooks must
+// be installed before the engine is built (they ride in runOpts); the
+// engine feeds it delivered results (engine.deliver), and collect
+// finalizes the stream in deterministic order. It is the shared
+// substrate of logged and assertion-checked runs on both engines.
 //
 // Records land in per-source buckets, one per event kind: the kernel
 // fires events in time order, so each bucket is (near-)sorted under
@@ -230,11 +226,11 @@ func estimateRecords(p Params, nodes int, until float64, telemetry bool) int {
 }
 
 // hooks chains the pre-build observers into opts, preserving any the
-// caller installed; newRunSetup wires them into the run. Both engines
+// caller installed; newEngine wires them into the run. Both engines
 // record through them.
-func (rc *recorder) hooks(opts *pipelineOpts) {
-	prevGov := opts.onGovern
-	opts.onGovern = func(nodeName string, ev governor.Event) {
+func (rc *recorder) hooks(opts *runOpts) {
+	prevGov := opts.OnGovern
+	opts.OnGovern = func(nodeName string, ev governor.Event) {
 		if prevGov != nil {
 			prevGov(nodeName, ev)
 		}
@@ -286,38 +282,25 @@ func (rc *recorder) hooks(opts *pipelineOpts) {
 	}
 }
 
-// attach chains the post-build observers onto the rig. The host's
-// OnResult set by buildPipeline (stall clock, caller callback) keeps
-// running first.
-func (rc *recorder) attach(rig *Rig) {
-	prevResult := rig.Host.OnResult
-	host0 := rig.Host
-	rig.Host.OnResult = func(r host.Result) {
-		if prevResult != nil {
-			prevResult(r)
-		}
-		rc.result = append(rc.result, LogRecord{
-			T: float64(r.At), Event: "result", Frame: r.Frame, From: r.From,
-		})
-		if rc.telemetry {
-			rc.latency = append(rc.latency, LogRecord{
-				T: float64(r.At), Event: "latency", Frame: r.Frame,
-				From: r.From, Value: host0.Latency(r),
-			})
-		}
+// onResult records one result delivered at t and, on telemetry runs, its
+// end-to-end frame latency.
+func (rc *recorder) onResult(t float64, frame int, from string, latencyS float64) {
+	rc.result = append(rc.result, LogRecord{T: t, Event: "result", Frame: frame, From: from})
+	if rc.telemetry {
+		rc.latency = append(rc.latency, LogRecord{T: t, Event: "latency", Frame: frame, From: from, Value: latencyS})
 	}
 }
 
 // collect finalizes the record stream after the run: each node's mode
 // trace and death are gathered as one further stream per node, then
-// finalize merges everything with reg's sampler series. The result
+// finalize merges everything with the run's sampler series. The result
 // aliases rc's pooled slab, so poolsafe derives its contract from
 // finalize's: it lives until rc is released.
-func collect[N nodeKind](rc *recorder, nodes []N, reg *metrics.Registry) []LogRecord {
+func collect(rc *recorder, nodes []*node.Base, series []metrics.SeriesValue) []LogRecord {
 	for _, n := range nodes {
-		rc.nodeStream(n.Shared())
+		rc.nodeStream(n)
 	}
-	return rc.finalize(reg)
+	return rc.finalize(series)
 }
 
 // nodeStream appends one node's stream to scratch: mode spans
@@ -344,18 +327,18 @@ func (rc *recorder) nodeStream(n *node.Base) {
 	rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
 }
 
-// finalize gathers the sampler series of reg (nil when uninstrumented)
-// as one stream per series on telemetry runs, materializes the merge
+// finalize gathers the sampler series as one stream per series on
+// telemetry runs, materializes the merge
 // streams — the scratch ranges plus the runtime buckets — restores any
 // stream that lost lessRecord order, and merges them into the canonical
 // record stream: O(n·sources) instead of a global O(n log n) sort.
 // Streams materialize only after scratch stops growing (append may move
 // the backing array). The result aliases the recorder's pooled slab; it
 // is valid until release.
-func (rc *recorder) finalize(reg *metrics.Registry) []LogRecord {
+func (rc *recorder) finalize(series []metrics.SeriesValue) []LogRecord {
 	// Per-series stream: one sampler's points are strictly time-ordered.
-	if rc.telemetry && reg != nil {
-		for _, s := range reg.Snapshot().Series {
+	if rc.telemetry {
+		for _, s := range series {
 			lo := len(rc.scratch)
 			for _, pt := range s.Samples {
 				rc.scratch = append(rc.scratch, LogRecord{
@@ -468,48 +451,14 @@ func violationRecords(vio []assert.Violation) []LogRecord {
 	return out
 }
 
-// RunLogged simulates the first `until` seconds of an experiment with
-// tracing enabled and writes one JSON record per event to w, ordered by
-// (time, event kind, labels). It returns the number of records written.
-func RunLogged(id ID, p Params, until float64, w io.Writer) (int, error) {
-	return writeRunLog(context.Background(), id, p, until, w, false)
-}
-
-// RunTelemetry is RunLogged with the telemetry subsystem attached: on
-// top of the mode/result/death events it logs every serial transaction
-// ("link"), each result's end-to-end frame latency ("latency"), the
-// periodic sampler series ("sample": battery state of charge and
-// availability, port backlogs, kernel queue depth), — when a fault
-// scenario is active — every injected fault ("fault") and scheduled
-// retransmission ("retry"), and — when Params.Assertions is set —
-// every assertion violation ("violation"). Only the pipeline
-// experiments (1…2D) can be logged.
-func RunTelemetry(id ID, p Params, until float64, w io.Writer) (int, error) {
-	return writeRunLog(context.Background(), id, p, until, w, true)
-}
-
-// RunTelemetryContext is RunTelemetry with a cancellable run entry: the
-// context is polled every few thousand kernel events (via
-// sim.Kernel.SetCancelCheck, so the poll perturbs neither event
-// ordering nor telemetry bytes) and an expired context abandons the
-// simulation mid-flight, returning the context's error with nothing
-// written to w. It is the entry the simulation service uses to stop
-// in-flight runs when a client hangs up or the server drains for
-// shutdown; an uncancelled run is byte-identical to RunTelemetry.
-func RunTelemetryContext(ctx context.Context, id ID, p Params, until float64, w io.Writer) (int, error) {
-	return writeRunLog(ctx, id, p, until, w, true)
-}
-
-func writeRunLog(ctx context.Context, id ID, p Params, until float64, w io.Writer, telemetry bool) (int, error) {
-	return writeRunLogWith(ctx, id, p, until, w, telemetry, nil)
-}
-
-// writeRunLogWith is writeRunLog with an optional mid-run capture hook
-// (see runLogCapture); Snapshot.Fork uses it to verify warm-point state.
-func writeRunLogWith(ctx context.Context, id ID, p Params, until float64, w io.Writer, telemetry bool, hook *runLogCapture) (int, error) {
-	records, rc, err := collectRunLogWith(ctx, id, p, until, telemetry, hook)
-	if err != nil {
-		return 0, err
+// writeLog encodes the records to w, with a checked run's violations
+// merged in as "violation" records.
+func writeLog(w io.Writer, records []LogRecord, vio []assert.Violation) error {
+	if len(vio) > 0 {
+		vr := violationRecords(vio)
+		ensureOrdered(vr)
+		var cursor []int
+		records = mergeRecords(make([]LogRecord, 0, len(records)+len(vr)), [][]LogRecord{records, vr}, &cursor)
 	}
 	enc := telem.NewEncoder(w)
 	for i := range records {
@@ -519,13 +468,7 @@ func writeRunLogWith(ctx context.Context, id ID, p Params, until float64, w io.W
 		}
 	}
 	enc.Flush()
-	if rc != nil {
-		rc.release()
-	}
-	// On a mid-stream write failure the count is the number of records
-	// whose bytes fully reached w, not zero — the caller knows how much
-	// of the log is intact.
-	return enc.Flushed(), enc.Err()
+	return enc.Err()
 }
 
 // encodeRecord appends one record in LogRecord's field order with the
@@ -558,106 +501,4 @@ func encodeRecord(enc *telem.Encoder, r *LogRecord) {
 	enc.StrOmit("detail", r.Detail)
 	enc.FloatOmit("bound", r.Bound)
 	enc.End()
-}
-
-// collectRunLog runs the bounded window and gathers the records in
-// deterministic order. The recorder is not pooled on this path: the
-// returned records stay valid indefinitely.
-func collectRunLog(id ID, p Params, until float64, telemetry bool) ([]LogRecord, error) {
-	records, _, err := collectRunLogContext(context.Background(), id, p, until, telemetry)
-	return records, err
-}
-
-// cancelPollEvents is how many kernel events run between context polls
-// of a cancellable run: coarse enough to cost nothing on the hot path
-// (one nil-check per event, one poll per few thousand), fine enough to
-// abandon a run within milliseconds of cancellation.
-const cancelPollEvents = 4096
-
-// runLogCapture pauses a bounded run at a chosen instant: the kernel
-// halts after every event with time ≤ atS has fired (RunUntil leaves
-// the queue intact), fn reads the rig, and the run resumes to its
-// horizon. Because fn only observes — it must schedule no events and
-// mutate no simulation state — the split run is byte-identical to an
-// uninterrupted one; a non-nil error from fn abandons the run.
-type runLogCapture struct {
-	atS float64
-	fn  func(*Rig) error
-}
-
-// collectRunLogContext runs the bounded window and gathers the records
-// in deterministic order. The returned records alias the returned
-// recorder's pooled slab; a caller done with them should release the
-// recorder (a nil recorder — the error paths — needs no release).
-func collectRunLogContext(ctx context.Context, id ID, p Params, until float64, telemetry bool) ([]LogRecord, *recorder, error) {
-	return collectRunLogWith(ctx, id, p, until, telemetry, nil)
-}
-
-// collectRunLogWith is collectRunLogContext with an optional mid-run
-// capture hook.
-func collectRunLogWith(ctx context.Context, id ID, p Params, until float64, telemetry bool, hook *runLogCapture) ([]LogRecord, *recorder, error) {
-	if until <= 0 {
-		return nil, nil, fmt.Errorf("core: non-positive log window %v", until)
-	}
-	switch id {
-	case Exp1, Exp1A, Exp2, Exp2A, Exp2B, Exp2C, Exp2D:
-	default:
-		return nil, nil, fmt.Errorf("core: experiment %q cannot be event-logged (pipeline experiments 1…2D only)", id)
-	}
-	eng, err := assert.New(p.Assertions)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	stages, opts := stagesFor(id, p)
-	opts.trace = true
-	opts.instrument = telemetry
-	if p.Faults != nil {
-		opts.faults = p.Faults
-	}
-	rc := newRecorder(telemetry, estimateRecords(p, len(stages), until, telemetry))
-	rc.hooks(&opts)
-	rig := buildPipeline(p, stages, opts)
-	rc.attach(rig)
-	if ctx.Done() != nil {
-		rig.K.SetCancelCheck(cancelPollEvents, func() bool { return ctx.Err() != nil })
-	}
-	rig.Start()
-	if hook != nil && hook.atS > 0 && hook.atS <= until {
-		rig.K.RunUntil(sim.Time(hook.atS))
-		err := ctx.Err()
-		if err == nil {
-			err = hook.fn(rig)
-		}
-		if err != nil {
-			rig.Release()
-			rc.release()
-			return nil, nil, err
-		}
-	}
-	rig.K.RunUntil(sim.Time(until))
-	if err := ctx.Err(); err != nil {
-		rig.Release()
-		rc.release()
-		return nil, nil, err
-	}
-	records := collect(rc, rig.Nodes, rig.Metrics)
-	// Release the rig: a long-running host (the simulation server) would
-	// otherwise strand a pipeline's worth of parked processes — and
-	// re-allocate every offer and frame job — on every bounded run.
-	rig.Release()
-
-	if eng != nil {
-		vio := evalAssertions(eng, records)
-		if len(vio) > 0 {
-			vr := violationRecords(vio)
-			ensureOrdered(vr)
-			merged := make([]LogRecord, 0, len(records)+len(vr))
-			var cursor []int
-			records = mergeRecords(merged, [][]LogRecord{records, vr}, &cursor)
-		}
-	}
-	return records, rc, nil
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 	p := DefaultParams()
 	var buf bytes.Buffer
-	n, err := RunLogged(Exp2, p, 5*p.FrameDelayS, &buf)
+	n, err := runLogged(Exp2, p, 5*p.FrameDelayS, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 func TestRunLoggedModesCoverBothNodes(t *testing.T) {
 	p := DefaultParams()
 	var buf bytes.Buffer
-	if _, err := RunLogged(Exp2, p, 4*p.FrameDelayS, &buf); err != nil {
+	if _, err := runLogged(Exp2, p, 4*p.FrameDelayS, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -66,35 +67,48 @@ func TestRunLoggedModesCoverBothNodes(t *testing.T) {
 
 func TestRunLoggedRejectsBadWindow(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := RunLogged(Exp1, DefaultParams(), 0, &buf); err == nil {
+	if _, err := runLogged(Exp1, DefaultParams(), 0, &buf); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
 
 func TestRunTelemetryContextCancellation(t *testing.T) {
 	p := DefaultParams()
+	job := Job{Exp: Exp1, Params: p, UntilS: 120, Options: Options{Instrument: true}}
 	// An already-expired context abandons the run before it starts and
 	// writes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	n, err := RunTelemetryContext(ctx, Exp1, p, 120, &buf)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run: n=%d err=%v, want context.Canceled", n, err)
+	job.Log = &buf
+	if _, err := Exec(ctx, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err=%v, want context.Canceled", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("cancelled run wrote %d bytes, want 0", buf.Len())
 	}
-	// An uncancelled context-aware run is byte-identical to the plain
-	// entry: the cancel poll must not perturb the simulation.
+	// An uncancelled run under a cancellable context polls it and stays
+	// byte-identical to RunTelemetry: the poll must not perturb the
+	// simulation.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	var plain, polled bytes.Buffer
 	if _, err := RunTelemetry(Exp1, p, 120, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTelemetryContext(context.Background(), Exp1, p, 120, &polled); err != nil {
+	job.Log = &polled
+	if _, err := Exec(live, job); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), polled.Bytes()) {
 		t.Fatal("context-aware run diverged from RunTelemetry output")
 	}
+}
+
+// runLogged writes the plain event log of an experiment's first until
+// seconds to w and returns the record count.
+func runLogged(id ID, p Params, until float64, w io.Writer) (int, error) {
+	c := &recordCounter{w: w}
+	_, err := Exec(context.Background(), Job{Exp: id, Params: p, UntilS: until, Log: c})
+	return c.n, err
 }

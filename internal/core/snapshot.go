@@ -8,8 +8,6 @@ import (
 	"math"
 
 	"dvsim/internal/fault"
-	"dvsim/internal/sim"
-
 	"dvsim/internal/sweep"
 )
 
@@ -28,9 +26,8 @@ import (
 // diverging.
 //
 // The "warm" in warm-state is the process, not the snapshot: the
-// snapshot run leaves the process-wide pools (parked procs, rendezvous
-// offers, frame jobs, record slabs) charged with the experiment's
-// working set, so the forks that follow allocate almost nothing. A
+// snapshot run leaves the process-wide pools (rendezvous offers, frame
+// jobs, record slabs) charged with the experiment's working set, so the forks that follow allocate almost nothing. A
 // thousand-seed Monte Carlo study runs at the cost of the simulated
 // events alone.
 
@@ -68,47 +65,41 @@ type Snapshot struct {
 // TakeSnapshot simulates an experiment to the warm point and captures
 // its state. warmS is quantized to the nearest frame boundary (at least
 // one frame): frame boundaries are the pipeline's quiescent instants,
-// where no transfer is mid-wire by construction. Only the pipeline
-// experiments (1…2D) can be snapshotted, matching RunTelemetry.
-//
-// The snapshot run is traced and instrumented exactly like a telemetry
-// run — the observers are pure reads, so the physical state captured
-// here is the state a Fork's telemetry replay passes through at WarmS.
+// where no transfer is mid-wire by construction. Experiments 0A/0B have
+// no I/O and cannot be snapshotted, matching RunTelemetry.
 func TakeSnapshot(id ID, p Params, warmS float64) (*Snapshot, error) {
 	if warmS <= 0 {
 		return nil, fmt.Errorf("core: non-positive warm point %v", warmS)
-	}
-	switch id {
-	case Exp1, Exp1A, Exp2, Exp2A, Exp2B, Exp2C, Exp2D:
-	default:
-		return nil, fmt.Errorf("core: experiment %q cannot be snapshotted (pipeline experiments 1…2D only)", id)
 	}
 	frames := math.Round(warmS / p.FrameDelayS)
 	if frames < 1 {
 		frames = 1
 	}
 	w := frames * p.FrameDelayS
-
-	stages, opts := stagesFor(id, p)
-	opts.trace = true
-	opts.instrument = true
-	if p.Faults != nil {
-		opts.faults = p.Faults
-	}
-	rig := buildPipeline(p, stages, opts)
-	rig.Start()
-	rig.K.RunUntil(sim.Time(w))
 	snap := &Snapshot{ID: id, Params: p, WarmS: w}
-	snap.capture(rig)
-	rig.Release()
+	take := &capture{atS: w, fn: func(e *engine) error {
+		snap.capture(e)
+		return nil
+	}}
+	if _, err := exec(context.Background(), snapshotJob(id, p, w, nil), take); err != nil {
+		return nil, err
+	}
 	return snap, nil
 }
 
-// capture reads the rig's physical state into the snapshot.
-func (s *Snapshot) capture(rig *Rig) {
-	s.Frames = len(rig.Host.Results)
+// snapshotJob is the instrumented run a snapshot is taken from and its
+// forks replay with a telemetry log. The recorder's observers are pure
+// reads, so a fork passes through exactly the state TakeSnapshot
+// captured at the warm point.
+func snapshotJob(id ID, p Params, untilS float64, log io.Writer) Job {
+	return Job{Exp: id, Params: p, UntilS: untilS, Log: log, Options: Options{Instrument: true}}
+}
+
+// capture reads the engine's physical state into the snapshot.
+func (s *Snapshot) capture(e *engine) {
+	s.Frames = e.delivered
 	s.Nodes = s.Nodes[:0]
-	for _, n := range rig.Nodes {
+	for _, n := range e.nodes {
 		bat := n.Power().Battery()
 		s.Nodes = append(s.Nodes, NodeState{
 			Name:            n.Name,
@@ -119,17 +110,17 @@ func (s *Snapshot) capture(rig *Rig) {
 			DeliveredMAh:    bat.DeliveredMAh(),
 		})
 	}
-	s.Ports = portStatsOf(rig.Net)
+	s.Ports = portStatsOf(e.net)
 }
 
-// verify compares the rig's state at the warm point against the
+// verify compares the engine's state at the warm point against the
 // snapshot, field-exact: the simulation is deterministic, so any
 // difference — down to the last bit of battery charge — means the fork
 // is not replaying the snapshot's history (changed code, changed
 // parameters) and its divergence would not be attributable to its seed.
-func (s *Snapshot) verify(rig *Rig) error {
+func (s *Snapshot) verify(e *engine) error {
 	var got Snapshot
-	got.capture(rig)
+	got.capture(e)
 	if got.Frames != s.Frames {
 		return fmt.Errorf("core: fork diverged from snapshot at %gs: %d frames delivered, snapshot has %d", s.WarmS, got.Frames, s.Frames)
 	}
@@ -177,21 +168,17 @@ func (s *Snapshot) forkScenario(seed uint64) *fault.Scenario {
 // field-exact; verification only reads, so the output stays
 // byte-identical to a cold RunTelemetry under the same reseeded
 // scenario — the property TestForkMatchesColdRun gates. untilS must
-// reach past the warm point.
-func (s *Snapshot) Fork(seed uint64, untilS float64, w io.Writer) (int, error) {
-	return s.ForkContext(context.Background(), seed, untilS, w)
-}
-
-// ForkContext is Fork with a cancellable run entry, mirroring
-// RunTelemetryContext.
-func (s *Snapshot) ForkContext(ctx context.Context, seed uint64, untilS float64, w io.Writer) (int, error) {
+// reach past the warm point. It returns the number of records that
+// fully reached w; ctx cancels the fork as it cancels Exec.
+func (s *Snapshot) Fork(ctx context.Context, seed uint64, untilS float64, w io.Writer) (int, error) {
 	if untilS <= s.WarmS {
 		return 0, fmt.Errorf("core: fork horizon %v not past the warm point %v", untilS, s.WarmS)
 	}
 	p := s.Params
 	p.Faults = s.forkScenario(seed)
-	hook := &runLogCapture{atS: s.WarmS, fn: s.verify}
-	return writeRunLogWith(ctx, s.ID, p, untilS, w, true, hook)
+	c := &recordCounter{w: w}
+	_, err := exec(ctx, snapshotJob(s.ID, p, untilS, c), &capture{atS: s.WarmS, fn: s.verify})
+	return c.n, err
 }
 
 // ForkResult is one Monte Carlo fork's outcome digest.
@@ -218,7 +205,7 @@ type ForkResult struct {
 func (s *Snapshot) MonteCarlo(seeds []uint64, untilS float64, workers int) []ForkResult {
 	return sweep.Run(seeds, workers, func(seed uint64) ForkResult {
 		h := fnv.New64a()
-		n, err := s.Fork(seed, untilS, h)
+		n, err := s.Fork(context.Background(), seed, untilS, h)
 		return ForkResult{Seed: seed, Records: n, Sum64: h.Sum64(), Err: err}
 	})
 }

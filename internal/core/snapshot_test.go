@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func TestSnapshotRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.Fork(1, snap.WarmS, new(bytes.Buffer)); err == nil {
+	if _, err := snap.Fork(context.Background(), 1, snap.WarmS, new(bytes.Buffer)); err == nil {
 		t.Error("Fork with horizon at the warm point succeeded")
 	}
 }
@@ -83,7 +84,7 @@ func TestForkMatchesColdRun(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 99} {
 		var forked bytes.Buffer
-		nf, err := snap.Fork(seed, until, &forked)
+		nf, err := snap.Fork(context.Background(), seed, until, &forked)
 		if err != nil {
 			t.Fatalf("Fork(%d): %v", seed, err)
 		}
@@ -113,7 +114,7 @@ func TestForkVerifiesWarmState(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap.Nodes[0].DeliveredMAh += 1e-9
-	_, err = snap.Fork(1, 120, new(bytes.Buffer))
+	_, err = snap.Fork(context.Background(), 1, 120, new(bytes.Buffer))
 	if err == nil {
 		t.Fatal("fork from a drifted snapshot succeeded")
 	}

@@ -96,7 +96,7 @@ func TestTelemetrySoCOrdering(t *testing.T) {
 		id := id
 		t.Run(string(id), func(t *testing.T) {
 			t.Parallel()
-			out := RunInstrumented(id, p)
+			out := execOK(t, Job{Exp: id, Params: p, Options: Options{Instrument: true}})
 			soc := map[string][]float64{}
 			for _, s := range out.Metrics.Series {
 				if s.Name != "battery_soc" {
@@ -144,7 +144,7 @@ func TestTelemetrySoCOrdering(t *testing.T) {
 func TestInstrumentedMatchesPlainRun(t *testing.T) {
 	p := DefaultParams()
 	plain := Run(Exp2, p)
-	inst := RunInstrumented(Exp2, p)
+	inst := execOK(t, Job{Exp: Exp2, Params: p, Options: Options{Instrument: true}})
 	if plain.Frames != inst.Frames {
 		t.Fatalf("frames %d vs %d with telemetry", plain.Frames, inst.Frames)
 	}
@@ -163,7 +163,7 @@ func TestInstrumentedMatchesPlainRun(t *testing.T) {
 }
 
 func TestRunInstrumentedNoIO(t *testing.T) {
-	out := RunInstrumented(Exp0A, DefaultParams())
+	out := execOK(t, Job{Exp: Exp0A, Params: DefaultParams(), Options: Options{Instrument: true}})
 	if out.Metrics.Empty() {
 		t.Fatal("no metrics from instrumented 0A run")
 	}

@@ -35,7 +35,7 @@ import (
 // value — or the pool handle that releases it — becomes a source
 // itself, with facts recording which results and parameters belong to
 // the slab group, so the check follows the value through helpers like
-// core's collect and collectRunLogWith without any annotation on them.
+// core's collect into the run driver without any annotation on them.
 //
 // Known limits, chosen to keep the check quiet: closures are analyzed
 // as separate functions (a slab value captured by a closure that runs
@@ -558,7 +558,7 @@ func (c *poolCtx) bindSourceCall(call *ast.CallExpr, lhs []ast.Expr) {
 
 // handleReturn records the enclosing function's slab exposure: result
 // indices returning live group members, and the receiver/parameters
-// sharing their group. This is how collectRunLogWith-style helpers
+// sharing their group. This is how collect-style helpers
 // become sources without a doc marker.
 func (c *poolCtx) handleReturn(s *ast.ReturnStmt) {
 	for i, res := range s.Results {

@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"io"
@@ -17,17 +18,25 @@ type Result struct {
 	Outcome core.Outcome
 }
 
-// Run executes one sweep point: paper-experiment lines dispatch through
-// core.RunExperiment, topology lines through core.RunTopology. Either
-// way the run is deterministic for a fixed manifest.
-func (e Experiment) Run() core.Outcome {
+// Job is the run one sweep point stands for: paper-experiment lines name
+// their experiment, topology lines their graph. Either way the run is
+// deterministic for a fixed manifest.
+func (e Experiment) Job() core.Job {
 	if e.ID != "" {
-		return core.RunExperiment(e.ID, e.Params, e.Frames)
+		return core.Job{Exp: e.ID, Params: e.Params, Options: core.Options{MaxFrames: e.Frames}}
 	}
-	return core.RunTopology(e.Label, e.Params, e.Graph, core.Options{
-		MaxFrames:      e.Frames,
-		RotationPeriod: e.Rotation,
-	})
+	return core.Job{Graph: e.Graph, Label: e.Label, Params: e.Params,
+		Options: core.Options{MaxFrames: e.Frames, RotationPeriod: e.Rotation}}
+}
+
+// Run executes one sweep point. Expanded lines are valid by
+// construction, so a failure is a programming error and panics.
+func (e Experiment) Run() core.Outcome {
+	out, err := core.Exec(context.Background(), e.Job())
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // RunAll executes an expanded sweep through the all-core worker pool

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func TestGoldenFig8(t *testing.T) {
 
 func TestGoldenTimelineBaseline(t *testing.T) {
 	p := core.DefaultParams()
-	tr := core.RunTraced(core.Exp1, p, 3*p.FrameDelayS)
+	tr := traced(t, core.Exp1, p, 3*p.FrameDelayS)
 	checkGolden(t, "timeline_fig2", Timeline([]string{"node1"}, tr, 0, 3*p.FrameDelayS, 69))
 }
 
@@ -71,11 +72,12 @@ func TestGoldenFaultCSV(t *testing.T) {
 		Links:   []fault.LinkFault{{DropRate: 0.05, GarbleRate: 0.02}},
 		Crashes: []fault.Crash{{Node: "node2", AtS: 100}},
 	}
-	out := core.RunCustom("2D-sample", p, core.StagesFromPartition(best, true), core.Options{
-		Ack:       true,
-		MaxFrames: 150,
-		Faults:    sc,
-	})
+	p.Faults = sc
+	out, err := core.Exec(context.Background(), core.Job{Stages: core.StagesFromPartition(best, true), Label: "2D-sample", Params: p,
+		Options: core.Options{Ack: true, MaxFrames: 150}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "fault_csv", CSV([]core.Outcome{out}))
 }
 
@@ -92,6 +94,6 @@ func TestGoldenCompare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	outs := core.RunSuiteParallel(core.AllExperiments, core.DefaultParams(), 0)
+	outs := core.RunSuite(core.AllExperiments, core.DefaultParams(), 0)
 	checkGolden(t, "compare", Compare(outs))
 }

@@ -3,6 +3,7 @@ package report
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -138,8 +139,11 @@ func TestPortsCSV(t *testing.T) {
 // the frame traffic.
 func TestPortsCSVFromRun(t *testing.T) {
 	p := core.DefaultParams()
-	out := core.RunCustom("mini", p, core.StagesFromPartition(mustBest2(t, p), true),
-		core.Options{MaxFrames: 5, Instrument: true})
+	out, err := core.Exec(context.Background(), core.Job{Stages: core.StagesFromPartition(mustBest2(t, p), true), Label: "mini", Params: p,
+		Options: core.Options{MaxFrames: 5, Instrument: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := PortsCSV([]core.Outcome{out})
 	for _, port := range []string{"host-src", "host-sink", "node1", "node2"} {
 		if !strings.Contains(got, "mini,"+port+",") {

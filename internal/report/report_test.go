@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestTimelineFromTracedRun(t *testing.T) {
 	// Integration: trace the first three frames of the baseline and check
 	// the diagram shows the RECV-PROC-SEND rhythm (Fig 2).
 	p := core.DefaultParams()
-	traces := core.RunTraced(core.Exp1, p, 3*p.FrameDelayS)
+	traces := traced(t, core.Exp1, p, 3*p.FrameDelayS)
 	if len(traces) != 1 || len(traces[0]) < 6 {
 		t.Fatalf("trace shape: %d nodes, %d spans", len(traces), len(traces[0]))
 	}
@@ -130,7 +131,7 @@ func TestTimelineFromTracedRun(t *testing.T) {
 func TestTimelineTwoNodeOverlap(t *testing.T) {
 	// Fig 3: while node1 receives frame I+1, node2 computes frame I.
 	p := core.DefaultParams()
-	traces := core.RunTraced(core.Exp2, p, 4*p.FrameDelayS)
+	traces := traced(t, core.Exp2, p, 4*p.FrameDelayS)
 	if len(traces) != 2 {
 		t.Fatalf("%d nodes traced", len(traces))
 	}
@@ -195,7 +196,7 @@ func TestDischargePlot(t *testing.T) {
 }
 
 func TestEnergyBreakdown(t *testing.T) {
-	outs := core.RunSuite([]core.ID{core.Exp1, core.Exp1A}, core.DefaultParams())
+	outs := core.RunSuite([]core.ID{core.Exp1, core.Exp1A}, core.DefaultParams(), 0)
 	out := EnergyBreakdown(outs)
 	if !strings.Contains(out, "comm share") || !strings.Contains(out, "node1") {
 		t.Fatalf("breakdown:\n%s", out)
@@ -227,4 +228,15 @@ func TestMarkdownCompare(t *testing.T) {
 	if !strings.Contains(out, "| 0A | No I/O | 3.40 | 3.40 | 1.00 | 11127 | 11500 | — | — |") {
 		t.Fatalf("markdown 0A row:\n%s", out)
 	}
+}
+
+// traced returns each node's mode spans over an experiment's first
+// until seconds.
+func traced(t *testing.T, id core.ID, p core.Params, until float64) [][]node.ModeSpan {
+	t.Helper()
+	var tr [][]node.ModeSpan
+	if _, err := core.Exec(context.Background(), core.Job{Exp: id, Params: p, UntilS: until, Trace: &tr}); err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

@@ -210,7 +210,8 @@ func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) ([]byt
 	defer j.stream.close()
 	var buf bytes.Buffer
 	w := streamTee{&buf, j.stream}
-	if _, err := core.RunTelemetryContext(ctx, res.id, res.params, res.untilS, w); err != nil {
+	job := core.Job{Exp: res.id, Params: res.params, UntilS: res.untilS, Log: w, Options: core.Options{Instrument: true}}
+	if _, err := core.Exec(ctx, job); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -267,24 +268,21 @@ func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) ([]byte, e
 		return nil, err
 	}
 	type lineOut struct {
-		out     core.Outcome
-		skipped bool
+		out core.Outcome
+		err error
 	}
 	outs := sweep.Run(missIdx, 0, func(i int) lineOut {
-		// Cancellation is line-granular: lines not yet started are
-		// skipped, the ones running finish (a kernel run is seconds,
-		// not minutes).
-		if ctx.Err() != nil {
-			return lineOut{skipped: true}
-		}
-		return lineOut{out: res.exps[i].Run()}
+		// Cancellation stops lines mid-run: Exec polls ctx, and lines not
+		// yet started return at once.
+		out, err := core.Exec(ctx, res.exps[i].Job())
+		return lineOut{out, err}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for n, i := range missIdx {
-		if outs[n].skipped {
-			return nil, context.Canceled
+		if outs[n].err != nil {
+			return nil, outs[n].err
 		}
 		b, err := json.Marshal(outs[n].out)
 		if err != nil {

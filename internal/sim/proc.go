@@ -446,25 +446,25 @@ func (p *Proc) Interrupt(reason any) {
 	})
 }
 
-// kill terminates a process with err (normally ErrShutdown).
+// kill terminates a process with err (normally ErrShutdown). The wake
+// is delivered directly rather than via the queue: shutdown runs when no
+// more events will fire. A process that is not armed was woken with its
+// resume posted but not yet fired (the run stopped inside the instant,
+// by Stop or a tripped cancel check); the kill replaces that wake.
 func (p *Proc) kill(err error) {
 	if p.done {
 		delete(p.k.procs, p)
 		return
 	}
 	if p.armed {
-		// Deliver directly rather than via the queue: shutdown runs after
-		// the queue has drained, so no more events will fire.
 		p.armed = false
-		p.killErr = err
 		if p.starting {
 			p.starting = false
 			p.k.Cancel(&p.timer)
 		}
-		p.resume(wakeMsg{err: err})
-		return
 	}
-	panic(fmt.Sprintf("sim: killing process %q that is not blocked", p.name))
+	p.killErr = err
+	p.resume(wakeMsg{err: err})
 }
 
 func (p *Proc) setState(s ProcState, why string) {

@@ -506,3 +506,35 @@ func TestShutdownReleasesCoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines after Shutdown, baseline %d: process coroutines leaked", n, base)
 	}
 }
+
+// TestShutdownAfterStopMidInstant stops a run between a wake and its
+// posted resume (as a tripped cancel check does): Run keeps the
+// processes, and Shutdown then ends every coroutine, the woken one
+// included, instead of refusing to kill it.
+func TestShutdownAfterStopMidInstant(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	ch := NewChan[int](k, "ch")
+	got := -1
+	k.Spawn("receiver", func(p *Proc) {
+		v, err := ch.Recv(p)
+		if err == nil {
+			got = v
+		}
+	})
+	k.At(1, func() {
+		ch.Send(7) // posts the receiver's resume at t=1
+		k.Stop()
+	})
+	k.Run()
+	if k.LiveProcs() != 1 {
+		t.Fatalf("%d live processes after a stopped Run, want the woken receiver", k.LiveProcs())
+	}
+	k.Shutdown()
+	if k.LiveProcs() != 0 || got != -1 {
+		t.Fatalf("after Shutdown: %d live procs, received %d", k.LiveProcs(), got)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Shutdown, baseline %d", n, base)
+	}
+}

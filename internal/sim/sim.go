@@ -441,12 +441,16 @@ func (k *Kernel) step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty or Stop is called. A
+// drained queue ends every process (see Shutdown); a stopped run keeps
+// them, so a later Run resumes it.
 func (k *Kernel) Run() {
 	k.stopped = false
 	for !k.stopped && k.step() {
 	}
-	k.shutdownProcs()
+	if !k.stopped {
+		k.shutdownProcs()
+	}
 }
 
 // RunUntil executes events with time ≤ t, then sets the clock to t.
