@@ -215,9 +215,8 @@ func exec(ctx context.Context, j Job, cp *capture) (Outcome, error) {
 	}
 
 	out := rt.outcome(id, label)
-	var records []LogRecord
 	if rc != nil {
-		records = collect(rc, e.nodes, out.Metrics.Series)
+		rc.collect(e.nodes, out.Metrics.Series)
 	}
 	if j.Trace != nil {
 		*j.Trace = make([][]node.ModeSpan, len(e.nodes))
@@ -226,15 +225,12 @@ func exec(ctx context.Context, j Job, cp *capture) (Outcome, error) {
 			(*j.Trace)[i] = b.Power().Trace()
 		}
 	}
+	// Release before finish: the engine (live coroutines, mode traces,
+	// sampler series) is then garbage while a long log encodes, instead
+	// of adding to the run's peak memory.
 	rt.release()
-	if chk != nil {
-		out.check(chk, records)
-	}
-	if j.Log != nil {
-		err = writeLog(j.Log, records, out.Violations)
-	}
 	if rc != nil {
-		rc.release()
+		err = rc.finish(&out, chk, j.Log)
 	}
 	return out, err
 }
@@ -290,6 +286,8 @@ func (j *Job) resolve(opts *runOpts) (id ID, label string, stages []StageConfig,
 		err = fmt.Errorf("core: non-positive log window %v", j.UntilS)
 	case noIO && (j.UntilS > 0 || j.Log != nil || j.Trace != nil):
 		err = fmt.Errorf("core: experiment %s has no I/O to window, log or trace (pipeline experiments 1…2D only)", id)
+	default:
+		err = j.Params.Governor.Validate()
 	}
 	return id, label, stages, err
 }
@@ -303,7 +301,10 @@ type runtime interface {
 	// outcome assembles the run's Outcome: the engine's common fields
 	// plus the runtime's own.
 	outcome(id ID, label string) Outcome
-	// release tears the run down (see Rig.release).
+	// release tears the run down once its outcome, records and trace
+	// are taken: the kernel's processes exit, and pooled simulation
+	// state (rendezvous offers, the pipeline host's frame jobs) returns
+	// to the process-wide pools.
 	release()
 }
 

@@ -12,6 +12,7 @@ import (
 	"dvsim/internal/atr"
 	"dvsim/internal/cpu"
 	"dvsim/internal/fault"
+	"dvsim/internal/governor"
 	"dvsim/internal/node"
 	"dvsim/internal/topology"
 )
@@ -149,8 +150,11 @@ func TestExecRejectsBadJobs(t *testing.T) {
 		"log no window":   {Exp: Exp1, Log: new(bytes.Buffer)},
 		"no-I/O window":   {Exp: Exp0A, UntilS: 10},
 		"rotating mesh":   {Graph: topology.Mesh(4, 2, topology.Config{}), Options: Options{RotationPeriod: 5}},
+		"bad governor":    {Exp: Exp3A, Params: Params{Governor: governor.Spec{Name: "interval", Tuning: map[string]float64{"alpha": 2}}}},
 	} {
+		gov := j.Params.Governor
 		j.Params = p
+		j.Params.Governor = gov
 		if _, err := Exec(context.Background(), j); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

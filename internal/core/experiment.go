@@ -319,14 +319,6 @@ type nodeKind interface {
 	Shared() *node.Base
 }
 
-// check evaluates the catalog over a checked run's record stream into
-// the outcome.
-func (o *Outcome) check(eng *assert.Engine, records []LogRecord) {
-	o.Violations = evalAssertions(eng, records)
-	o.AssertionsRun = eng.Evaluated()
-	o.ViolationTotal = eng.Total()
-}
-
 // armCrashes hands the nodes to the injector's crash schedule by name.
 func armCrashes[N nodeKind](inj *fault.Injector, k *sim.Kernel, nodes []N) {
 	if inj == nil {

@@ -143,17 +143,24 @@ func lessRecord(a, b LogRecord) bool {
 
 // recorder gathers a run's observable events as LogRecords. hooks must
 // be installed before the engine is built (they ride in runOpts); the
-// engine feeds it delivered results (engine.deliver), and collect
-// finalizes the stream in deterministic order. It is the shared
-// substrate of logged and assertion-checked runs on both engines.
+// engine feeds it delivered results (engine.deliver). After the run,
+// collect turns the record sources into one stream in deterministic
+// order while the nodes are still intact, and finish — once the driver
+// has released the engine — checks and encodes that stream and recycles
+// the store. It is the shared substrate of logged and assertion-checked
+// runs on both engines.
 //
 // Records land in per-source buckets, one per event kind: the kernel
 // fires events in time order, so each bucket is (near-)sorted under
-// lessRecord as it is built, and collect finalizes with an O(n·sources)
-// ordered merge instead of a global sort. The buckets and the merged
-// slab are recycled through a process-wide pool — a long-lived host
-// (the simulation server, sweeps, Monte Carlo forks) re-runs telemetry
-// with a warm record store and allocates nothing per record.
+// lessRecord as it is built, and collect merges them with an
+// O(n·sources) ordered merge instead of a global sort. The buckets and
+// the merged slab are recycled through a process-wide pool — a
+// long-lived host (the simulation server, sweeps, Monte Carlo forks)
+// re-runs telemetry with a warm record store and allocates nothing per
+// record. The merged slab never leaves the recorder: collect returns
+// nothing, and its only readers (the assertion catalog and the encoder)
+// run inside finish, before release, so no caller can hold a record the
+// next run overwrites.
 type recorder struct {
 	telemetry bool
 	// Runtime buckets, appended by the hooks as the simulation runs.
@@ -167,8 +174,8 @@ type recorder struct {
 	// deaths, per-series samples); ranges delimits each stream within it.
 	scratch []LogRecord
 	ranges  []streamRange
-	// merged is the final ordered slab handed to the caller; streams and
-	// cursor are merge scratch state.
+	// merged is the final ordered slab, built by collect and read only
+	// inside finish; streams and cursor are merge scratch state.
 	merged  []LogRecord
 	streams [][]LogRecord
 	cursor  []int
@@ -194,9 +201,9 @@ func newRecorder(telemetry bool, capHint int) *recorder {
 	return rc
 }
 
-// release clears the record store and returns it to the pool. The
-// caller must be done with every slice obtained from collect — the
-// backing arrays are recycled into the next run's recorder.
+// release clears the record store and returns it to the pool: the
+// backing arrays are recycled into the next run's recorder. finish
+// calls it; the driver calls it directly only for an abandoned run.
 func (rc *recorder) release() {
 	for _, b := range [][]LogRecord{rc.govern, rc.fault, rc.retry, rc.link, rc.latency, rc.result, rc.scratch, rc.merged} {
 		clear(b) // drop string references
@@ -291,18 +298,6 @@ func (rc *recorder) onResult(t float64, frame int, from string, latencyS float64
 	}
 }
 
-// collect finalizes the record stream after the run: each node's mode
-// trace and death are gathered as one further stream per node, then
-// finalize merges everything with the run's sampler series. The result
-// aliases rc's pooled slab, so poolsafe derives its contract from
-// finalize's: it lives until rc is released.
-func collect(rc *recorder, nodes []*node.Base, series []metrics.SeriesValue) []LogRecord {
-	for _, n := range nodes {
-		rc.nodeStream(n)
-	}
-	return rc.finalize(series)
-}
-
 // nodeStream appends one node's stream to scratch: mode spans
 // (chronological by construction), then the death record, whose rank
 // sorts it after a span starting at the same instant.
@@ -327,15 +322,19 @@ func (rc *recorder) nodeStream(n *node.Base) {
 	rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
 }
 
-// finalize gathers the sampler series as one stream per series on
-// telemetry runs, materializes the merge
+// collect builds the run's record stream in rc.merged. Each node's mode
+// trace and death become one stream per node and, on telemetry runs,
+// each sampler series one more; collect then materializes the merge
 // streams — the scratch ranges plus the runtime buckets — restores any
 // stream that lost lessRecord order, and merges them into the canonical
 // record stream: O(n·sources) instead of a global O(n log n) sort.
 // Streams materialize only after scratch stops growing (append may move
-// the backing array). The result aliases the recorder's pooled slab; it
-// is valid until release.
-func (rc *recorder) finalize(series []metrics.SeriesValue) []LogRecord {
+// the backing array). It reads the nodes, so it runs before the engine
+// is released.
+func (rc *recorder) collect(nodes []*node.Base, series []metrics.SeriesValue) {
+	for _, n := range nodes {
+		rc.nodeStream(n)
+	}
 	// Per-series stream: one sampler's points are strictly time-ordered.
 	if rc.telemetry {
 		for _, s := range series {
@@ -358,7 +357,23 @@ func (rc *recorder) finalize(series []metrics.SeriesValue) []LogRecord {
 		ensureOrdered(s)
 	}
 	rc.merged = mergeRecords(rc.merged[:0], rc.streams, &rc.cursor)
-	return rc.merged
+}
+
+// finish completes a collected run and recycles the store: the catalog
+// chk (when non-nil) checks the merged stream into out's verdicts, and
+// the stream is encoded to w (when non-nil) with those verdicts merged
+// in. The driver calls it after releasing the engine, so the engine's
+// memory is reclaimable while the log encodes.
+func (rc *recorder) finish(out *Outcome, chk *assert.Engine, w io.Writer) error {
+	if chk != nil {
+		rc.check(chk, out)
+	}
+	var err error
+	if w != nil {
+		err = rc.writeLog(w, out.Violations)
+	}
+	rc.release()
+	return err
 }
 
 // ensureOrdered restores lessRecord order within one stream. Streams
@@ -422,11 +437,12 @@ func recordView(r LogRecord) assert.Record {
 	}
 }
 
-// evalAssertions streams the sorted records through the engine and
-// closes it at the last record's timestamp — the same end-of-stream
-// rule Replay applies offline, which is what makes online and offline
-// verdicts identical.
-func evalAssertions(eng *assert.Engine, records []LogRecord) []assert.Violation {
+// check streams the merged records through the catalog and closes it
+// at the last record's timestamp — the same end-of-stream rule Replay
+// applies offline, which is what makes online and offline verdicts
+// identical — then stores the verdicts in out.
+func (rc *recorder) check(eng *assert.Engine, out *Outcome) {
+	records := rc.merged
 	for _, r := range records {
 		eng.Observe(recordView(r))
 	}
@@ -435,7 +451,9 @@ func evalAssertions(eng *assert.Engine, records []LogRecord) []assert.Violation 
 		endT = records[n-1].T
 	}
 	eng.Finish(endT)
-	return eng.Violations()
+	out.Violations = eng.Violations()
+	out.AssertionsRun = eng.Evaluated()
+	out.ViolationTotal = eng.Total()
 }
 
 // violationRecords renders violations as telemetry events.
@@ -451,9 +469,10 @@ func violationRecords(vio []assert.Violation) []LogRecord {
 	return out
 }
 
-// writeLog encodes the records to w, with a checked run's violations
-// merged in as "violation" records.
-func writeLog(w io.Writer, records []LogRecord, vio []assert.Violation) error {
+// writeLog encodes the merged records to w, with a checked run's
+// violations merged in as "violation" records.
+func (rc *recorder) writeLog(w io.Writer, vio []assert.Violation) error {
+	records := rc.merged
 	if len(vio) > 0 {
 		vr := violationRecords(vio)
 		ensureOrdered(vr)

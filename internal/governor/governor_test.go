@@ -214,6 +214,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		want string
 	}{
 		{"", "none"},
+		{"none", "none"},
 		{"static", "static"},
 		{"interval", "interval"},
 		{"pid:kp=0.5,ki=0.1", "pid:ki=0.1,kp=0.5"},
@@ -237,11 +238,15 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestSpecRejects(t *testing.T) {
 	for _, text := range []string{
-		"turbo",            // unknown policy
-		"pid:warp=9",       // unknown knob
-		"static:alpha=0.5", // static has no knobs
-		"pid:kp",           // malformed tuning
-		"pid:kp=fast",      // non-numeric value
+		"turbo",              // unknown policy
+		"pid:warp=9",         // unknown knob
+		"static:alpha=0.5",   // static has no knobs
+		"pid:kp",             // malformed tuning
+		"pid:kp=fast",        // non-numeric value
+		"interval:alpha=2",   // alpha outside (0, 1]
+		"pid:imax=-1",        // negative integral clamp
+		"interval:alpha=NaN", // non-finite value
+		"pid:kp=1,kp=2",      // duplicate key
 	} {
 		if _, err := ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", text)

@@ -2,6 +2,7 @@ package governor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +43,11 @@ func Knobs(name string) []string {
 	return out
 }
 
-// Validate checks the policy name and every tuning key.
+// Validate checks the policy name, every tuning key and every tuning
+// value: values must be finite, and the knobs with a range must lie in
+// it (interval and pid alpha in (0, 1], pid imax ≥ 0, buffer hi in
+// [1, 2³¹−1]). New and ParseSpec both apply it, so a spec that passes
+// always constructs.
 func (s Spec) Validate() error {
 	if !s.Enabled() {
 		if len(s.Tuning) > 0 {
@@ -72,6 +77,20 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("governor: policy %q has no knob %s (have %s)",
 			s.Name, strings.Join(bad, ", "), strings.Join(Knobs(s.Name), ", "))
 	}
+	for _, k := range allowed {
+		v, ok := s.Tuning[k]
+		switch {
+		case !ok:
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("governor: %s %s %v is not finite", s.Name, k, v)
+		case k == "alpha" && (v <= 0 || v > 1):
+			return fmt.Errorf("governor: %s alpha %v outside (0, 1]", s.Name, v)
+		case k == "imax" && v < 0:
+			return fmt.Errorf("governor: pid imax %v negative", v)
+		case k == "hi" && (v < 1 || v > math.MaxInt32):
+			return fmt.Errorf("governor: buffer hi %v outside [1, %d]", v, math.MaxInt32)
+		}
+	}
 	return nil
 }
 
@@ -84,8 +103,8 @@ func (s Spec) knob(key string, def float64) float64 {
 }
 
 // New constructs the governor the spec selects, tuning applied. It
-// errors on an unknown policy or knob; an empty spec yields nil (no
-// governor) with no error.
+// errors when Validate does; an empty spec yields nil (no governor) with
+// no error.
 func (s Spec) New() (Governor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -99,9 +118,6 @@ func (s Spec) New() (Governor, error) {
 		g := NewInterval()
 		g.Alpha = s.knob("alpha", g.Alpha)
 		g.MarginS = s.knob("margin_s", g.MarginS)
-		if g.Alpha <= 0 || g.Alpha > 1 {
-			return nil, fmt.Errorf("governor: interval alpha %v outside (0, 1]", g.Alpha)
-		}
 		return g, nil
 	case "pid":
 		g := NewPID()
@@ -112,12 +128,6 @@ func (s Spec) New() (Governor, error) {
 		g.IMax = s.knob("imax", g.IMax)
 		g.Alpha = s.knob("alpha", g.Alpha)
 		g.MarginS = s.knob("margin_s", g.MarginS)
-		if g.Alpha <= 0 || g.Alpha > 1 {
-			return nil, fmt.Errorf("governor: pid alpha %v outside (0, 1]", g.Alpha)
-		}
-		if g.IMax < 0 {
-			return nil, fmt.Errorf("governor: pid imax %v negative", g.IMax)
-		}
 		return g, nil
 	case "buffer":
 		g := NewBuffer()
@@ -125,9 +135,6 @@ func (s Spec) New() (Governor, error) {
 		g.WaitHiS = s.knob("wait_hi_s", g.WaitHiS)
 		g.LoSlackS = s.knob("lo_slack_s", g.LoSlackS)
 		g.MarginS = s.knob("margin_s", g.MarginS)
-		if g.Hi < 1 {
-			return nil, fmt.Errorf("governor: buffer hi %d below 1", g.Hi)
-		}
 		return g, nil
 	default:
 		// Validate covered this; kept for defense.
@@ -144,32 +151,38 @@ func MustNew(s Spec) Governor {
 	return g
 }
 
-// ParseSpec parses the command-line form NAME[:key=value,key=value].
-// Examples: "interval", "pid:kp=0.5,ki=0.1", "buffer:hi=3".
+// ParseSpec parses the command-line form NAME[:key=value,key=value]
+// and validates it; a key given twice is an error. Examples:
+// "interval", "pid:kp=0.5,ki=0.1", "buffer:hi=3". Empty text and
+// "none" (String's rendering of the empty spec) select no governor.
 func ParseSpec(text string) (Spec, error) {
 	text = strings.TrimSpace(text)
-	if text == "" {
+	if text == "" || text == "none" {
 		return Spec{}, nil
 	}
-	name, tuning, hasTuning := strings.Cut(text, ":")
+	name, tuning, _ := strings.Cut(text, ":")
 	s := Spec{Name: name}
-	if hasTuning {
-		s.Tuning = make(map[string]float64)
-		for _, kv := range strings.Split(tuning, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			k, vtext, ok := strings.Cut(kv, "=")
-			if !ok {
-				return Spec{}, fmt.Errorf("governor: bad tuning %q (want key=value)", kv)
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(vtext), 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("governor: bad tuning value %q: %v", kv, err)
-			}
-			s.Tuning[strings.TrimSpace(k)] = v
+	for _, kv := range strings.Split(tuning, ",") {
+		kv = strings.TrimSpace(kv)
+		if kv == "" {
+			continue
 		}
+		k, vtext, ok := strings.Cut(kv, "=")
+		if !ok {
+			return Spec{}, fmt.Errorf("governor: bad tuning %q (want key=value)", kv)
+		}
+		v, err := strconv.ParseFloat(strings.TrimSpace(vtext), 64)
+		if err != nil {
+			return Spec{}, fmt.Errorf("governor: bad tuning value %q: %v", kv, err)
+		}
+		k = strings.TrimSpace(k)
+		if _, dup := s.Tuning[k]; dup {
+			return Spec{}, fmt.Errorf("governor: tuning key %q given twice", k)
+		}
+		if s.Tuning == nil {
+			s.Tuning = make(map[string]float64)
+		}
+		s.Tuning[k] = v
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

@@ -52,10 +52,10 @@ type Pass struct {
 	Pkg  *types.Package
 	Info *types.Info
 
-	// Program is the whole-run view — every loaded package, the call
-	// graph over them, and the cross-function fact store. Analyzers
-	// that follow values or taint through helpers reach beyond the
-	// current package through it; per-file analyzers ignore it.
+	// Program is the whole-run view — every loaded package and the call
+	// graph over them. Analyzers that follow taint through helpers
+	// reach beyond the current package through it; per-file analyzers
+	// ignore it.
 	Program *Program
 
 	// Report delivers one diagnostic to the driver.

@@ -4,17 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the interprocedural half of the framework: a whole-run
 // Program view over every package the driver loaded, a type-based call
-// graph, and a fact store analyzers use to publish properties of
-// functions ("returns slab-backed memory") that later passes over other
-// functions — in other packages — can consume. It mirrors the
-// go/analysis fact model in spirit: facts attach to objects and flow
-// across package boundaries, but here the whole program is in memory at
-// once, so no serialization is needed.
+// graph over them, and a memo through which the per-package passes of
+// one analyzer share a whole-program result. The whole program is in
+// memory at once, so cross-package reasoning needs no serialization.
 
 // ProgramPkg is one loaded package as the Program sees it.
 type ProgramPkg struct {
@@ -25,9 +21,9 @@ type ProgramPkg struct {
 }
 
 // Program is the whole-run view shared by every Pass: all loaded
-// packages, the call graph over them, a fact store, and the driver's
-// suppression predicate. Analyzers that need cross-function reasoning
-// reach it through Pass.Program.
+// packages, the call graph over them, and the driver's suppression
+// predicate. Analyzers that need cross-function reasoning reach it
+// through Pass.Program.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*ProgramPkg
@@ -41,18 +37,7 @@ type Program struct {
 	// that an explicitly allowed root does not taint its callers.
 	Suppressed func(analyzer string, pos token.Position) bool
 
-	facts map[factKey][]Fact
-	memo  map[string]any
-}
-
-// Fact is a property an analyzer attaches to a function, visible to
-// later passes over other functions and packages. Implementations are
-// plain structs; the marker method only brands the type.
-type Fact interface{ AFact() }
-
-type factKey struct {
-	analyzer string
-	fn       string // FuncID
+	memo map[string]any
 }
 
 // NewProgram builds the whole-run view: it indexes the packages and
@@ -62,29 +47,16 @@ func NewProgram(fset *token.FileSet, pkgs []*ProgramPkg) *Program {
 		Fset:       fset,
 		Pkgs:       pkgs,
 		Suppressed: func(string, token.Position) bool { return false },
-		facts:      map[factKey][]Fact{},
 		memo:       map[string]any{},
 	}
-	p.Graph = buildCallGraph(fset, pkgs)
+	p.Graph = buildCallGraph(pkgs)
 	return p
-}
-
-// ExportFact publishes a fact about the function identified by id
-// (see FuncID) on behalf of the analyzer.
-func (p *Program) ExportFact(analyzer, id string, f Fact) {
-	k := factKey{analyzer, id}
-	p.facts[k] = append(p.facts[k], f)
-}
-
-// FactsOf returns the facts the analyzer has exported for id.
-func (p *Program) FactsOf(analyzer, id string) []Fact {
-	return p.facts[factKey{analyzer, id}]
 }
 
 // Cached memoizes a program-wide computation under key: the first call
 // runs build, later calls return the stored result. Per-package passes
-// of the same analyzer share their expensive whole-program state (taint
-// sets, source fixpoints) through it.
+// of the same analyzer share their expensive whole-program state (such
+// as nondetflow's taint set) through it.
 func (p *Program) Cached(key string, build func() any) any {
 	if v, ok := p.memo[key]; ok {
 		return v
@@ -111,8 +83,8 @@ func FuncID(fn *types.Func) string {
 // CallGraph is the program's type-based call graph. Static calls to
 // named functions and methods become direct edges; calls through an
 // interface method become one edge per concrete type in the program
-// that implements the interface (class-hierarchy analysis), marked
-// Dynamic. Calls through plain function values are not resolved.
+// that implements the interface (class-hierarchy analysis). Calls
+// through plain function values are not resolved.
 type CallGraph struct {
 	// Nodes is keyed by FuncID. A node exists for every function
 	// declared in the loaded packages (Decl non-nil) and for every
@@ -136,25 +108,9 @@ type CallNode struct {
 type CallEdge struct {
 	Caller, Callee *CallNode
 	Site           *ast.CallExpr
-	// SitePkg is the package containing the call site (always a loaded
-	// package; needed because methods resolved by CHA may be declared
-	// elsewhere).
-	SitePkg *ProgramPkg
-	// Dynamic marks an edge added by interface-dispatch resolution:
-	// the static callee was an interface method, this edge points at
-	// one concrete implementation.
-	Dynamic bool
 }
 
-// Node returns the call-graph node for fn, or nil.
-func (g *CallGraph) Node(fn *types.Func) *CallNode {
-	if fn == nil {
-		return nil
-	}
-	return g.Nodes[FuncID(fn)]
-}
-
-func buildCallGraph(fset *token.FileSet, pkgs []*ProgramPkg) *CallGraph {
+func buildCallGraph(pkgs []*ProgramPkg) *CallGraph {
 	g := &CallGraph{Nodes: map[string]*CallNode{}}
 	node := func(fn *types.Func) *CallNode {
 		id := FuncID(fn)
@@ -214,7 +170,7 @@ func buildCallGraph(fset *token.FileSet, pkgs []*ProgramPkg) *CallGraph {
 					if callee == nil {
 						return true
 					}
-					addEdges(g, node, caller, callee, call, pkg, concrete)
+					addEdges(node, caller, callee, call, concrete)
 					return true
 				})
 			}
@@ -242,9 +198,9 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // addEdges links caller → callee; an interface method fans out to every
 // concrete implementation in the program (CHA).
-func addEdges(g *CallGraph, node func(*types.Func) *CallNode, caller *CallNode, callee *types.Func, call *ast.CallExpr, sitePkg *ProgramPkg, concrete []types.Type) {
-	link := func(cn *CallNode, dynamic bool) {
-		e := &CallEdge{Caller: caller, Callee: cn, Site: call, SitePkg: sitePkg, Dynamic: dynamic}
+func addEdges(node func(*types.Func) *CallNode, caller *CallNode, callee *types.Func, call *ast.CallExpr, concrete []types.Type) {
+	link := func(cn *CallNode) {
+		e := &CallEdge{Caller: caller, Callee: cn, Site: call}
 		caller.Out = append(caller.Out, e)
 		cn.In = append(cn.In, e)
 	}
@@ -252,18 +208,18 @@ func addEdges(g *CallGraph, node func(*types.Func) *CallNode, caller *CallNode, 
 	if sig != nil && sig.Recv() != nil {
 		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
 			// Interface dispatch: edge to the interface method itself
-			// (carries the contract) plus one per implementation.
-			link(node(callee), false)
+			// plus one per implementation.
+			link(node(callee))
 			for _, t := range concrete {
 				impl := implMethod(t, iface, callee.Name())
 				if impl != nil {
-					link(node(impl), true)
+					link(node(impl))
 				}
 			}
 			return
 		}
 	}
-	link(node(callee), false)
+	link(node(callee))
 }
 
 // implMethod returns t's (or *t's) method named name when t implements
@@ -280,17 +236,4 @@ func implMethod(t types.Type, iface *types.Interface, name string) *types.Func {
 		}
 	}
 	return nil
-}
-
-// DocContains reports whether the function declaration's doc comment
-// contains the marker phrase, case-insensitively. Contract-by-comment
-// is how base facts are seeded: the prose that tells a human reader
-// "the result aliases the pooled slab; it is valid until release" is
-// the same marker the analyzer keys on, so the documentation and the
-// enforcement can never drift apart.
-func DocContains(decl *ast.FuncDecl, marker string) bool {
-	if decl == nil || decl.Doc == nil {
-		return false
-	}
-	return strings.Contains(strings.ToLower(decl.Doc.Text()), strings.ToLower(marker))
 }

@@ -41,7 +41,6 @@ func TestMulticheckerKnownBad(t *testing.T) {
 		"knownbad.go:26:floateq",        // a == b on float64
 		"knownbad.go:30:eventreuse",     // Bind on an At result
 		"knownbad.go:33:nondetflow",     // call into a wall-clock-tainted helper
-		"knownbad.go:46:poolsafe",       // slab value read after release
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("diagnostic set mismatch:\n got  %v\n want %v\nfull findings:\n%s",

@@ -29,7 +29,7 @@ import (
 )
 
 // Analyzers returns the full AST-analyzer catalog in stable order. The
-// eighth member of the suite, the hotalloc escape gate, drives the
+// seventh member of the suite, the hotalloc escape gate, drives the
 // compiler rather than the AST and lives in internal/lint/hotalloc; the
 // cmd/dvsimlint driver runs it alongside these.
 func Analyzers() []*analysis.Analyzer {
@@ -40,7 +40,6 @@ func Analyzers() []*analysis.Analyzer {
 		NakedGo,
 		FloatEq,
 		EventReuse,
-		PoolSafe,
 	}
 }
 

@@ -49,16 +49,6 @@ func methodOn(fn *types.Func, pkgPath, typeName, name string) bool {
 	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// pkgFunc reports whether fn is the package-level function
-// pkgPath.name.
-func pkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // isFloat reports whether t's underlying type is a floating-point
 // basic type (covering named types like sim.Time).
 func isFloat(t types.Type) bool {

@@ -145,9 +145,6 @@ func (s *Server) resolve(sub Submission) (*resolved, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := spec.New(); err != nil {
-			return nil, err
-		}
 		p.Governor = spec
 	}
 	if sub.Faults != nil {
